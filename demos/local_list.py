@@ -63,7 +63,7 @@ def main() -> None:
     # a one-byte pointer rotation redirects every alias of the pool entry
     print("\nrotating the cdn pool pointer three times:")
     for _ in range(3):
-        plist = apply_lb_update(plist, 0, 1)
+        plist = apply_lb_update(plist, [(0, 1)])
         show(plist, "www.example")
 
     raw = serialize(plist)

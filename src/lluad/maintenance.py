@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Protocol
 
 from .dnsmsg import (
     DomainName,
-    MalformedMessage,
     RecordAnswer,
     RecordKey,
     RecordType,
@@ -34,6 +33,7 @@ from .dnsmsg import (
     parse_response,
 )
 from .poplist import (
+    CNAME_CHAIN_LIMIT,
     PopularityList,
     RecordDef,
     apply_lb_update,
@@ -41,8 +41,6 @@ from .poplist import (
     build_list,
     serialize,
 )
-
-CNAME_CHAIN_LIMIT = 16
 
 
 class UpstreamFailure(Exception):
@@ -165,15 +163,13 @@ class ScoreBoard:
     ) -> list[RecordKey]:
         """Rank by effective score; ties keep incumbents, then fall back to
         canonical key order so the result is deterministic."""
-        ranked = sorted(
-            (k for k in self._scores if self.effective(k, round_index) > 0.0),
-            key=lambda k: (
-                -self.effective(k, round_index),
-                k not in incumbents,
-                k.sort_key(),
-            ),
-        )
-        return ranked[:n]
+        decay = 1.0 - self._cfg.weight_a
+        ranked = []
+        for k, score in self._scores.items():
+            eff = score.weighted * decay ** (round_index - score.last_round)
+            if eff > 0.0:
+                ranked.append((-eff, k not in incumbents, k.sort_key(), k))
+        return [entry[-1] for entry in heapq.nsmallest(n, ranked)]
 
 
 @dataclass(frozen=True)
@@ -197,9 +193,7 @@ UpdateMessage = LbUpdate | MembershipUpdate
 def apply_update(plist: PopularityList, message: UpdateMessage) -> PopularityList:
     """Client-side application of one update message."""
     if isinstance(message, LbUpdate):
-        for entry_index, offset in message.entries:
-            plist = apply_lb_update(plist, entry_index, offset)
-        return plist
+        return apply_lb_update(plist, message.entries)
     return apply_membership_update(plist, message.removals, message.additions)
 
 
@@ -270,7 +264,6 @@ class Maintainer:
         self.upstream = upstream
         self.rng = rng or Random()
         self.scores = ScoreBoard(cfg)
-        self.defs: dict[RecordKey, RecordDef] = {}
         self.plist = build_list([])
         self.round_index = 0
         self.schedule = TtlSchedule()
@@ -302,7 +295,7 @@ class Maintainer:
             self.round_index, self.cfg.n_popular, frozenset(self._top)
         )
         self._top = top
-        defs = dict(self.defs)
+        defs = dict(self.plist.records)
         for voted in top:
             self._ensure_chain(defs, voted, now)
         return self._commit_membership(defs, now)
@@ -378,31 +371,44 @@ class Maintainer:
     def _commit_membership(
         self, defs: dict[RecordKey, RecordDef], now: float
     ) -> list[UpdateMessage]:
-        """Diff edited defs against current state, emit messages, rebuild."""
+        """Diff edited defs against the list, then apply and return the
+        messages: the removals, then the additions.
+
+        The list retains a removed record while a surviving CNAME targets
+        it.  When the removals alone would retain one (a CNAME that the
+        additions retarget still points at it), a single message carries
+        both halves, so the list lands on exactly the needed records."""
+        current = self.plist.records
         needed = self._closure_keys(defs)
-        removals = sorted(
-            (k for k in self.defs if k not in needed), key=RecordKey.sort_key
+        removals = tuple(
+            sorted((k for k in current if k not in needed), key=RecordKey.sort_key)
         )
-        additions = sorted(
-            (defs[k] for k in needed if defs[k] != self.defs.get(k)),
-            key=lambda d: d.key.sort_key(),
+        additions = tuple(
+            sorted(
+                (defs[k] for k in needed if defs[k] != current.get(k)),
+                key=lambda d: d.key.sort_key(),
+            )
         )
-        messages: list[UpdateMessage] = []
-        if removals:
-            messages.append(MembershipUpdate(removals=tuple(removals)))
-        if additions:
-            messages.append(MembershipUpdate(additions=tuple(additions)))
-        if not messages:
+        if not (removals or additions):
             return []
-        self.defs = {k: defs[k] for k in needed}
+        messages: list[UpdateMessage] = []
+        plist = self.plist
+        if removals:
+            messages.append(MembershipUpdate(removals=removals))
+            plist = apply_membership_update(plist, removals)
+        if additions:
+            if any(k in plist.records for k in removals):
+                messages = [MembershipUpdate(removals, additions)]
+                plist = apply_membership_update(self.plist, removals, additions)
+            else:
+                messages.append(MembershipUpdate(additions=additions))
+                plist = apply_membership_update(plist, additions=additions)
+        self.plist = plist
         for key in removals:
             self.schedule.cancel(key)
             self._pending_offsets.pop(key, None)
             self._change_history.pop(key, None)
             self._backoff.pop(key, None)
-        self.plist = build_list(
-            self.defs.values(), generation=self.plist.generation + len(messages)
-        )
         return messages
 
     # -- TTL requery -------------------------------------------------------
@@ -413,7 +419,7 @@ class Maintainer:
         due = self.schedule.due(now)
         if not due:
             return []
-        defs = dict(self.defs)
+        defs = dict(self.plist.records)
         structure_dirty = False
         touched = False
         for key in due:
@@ -547,8 +553,7 @@ class Maintainer:
         for key, delta in self._pending_offsets.items():
             if key not in entry_of:
                 continue
-            size = len(self.plist.pool.groups[entry_of[key]].answers)
-            delta %= size
+            delta %= len(self.plist.records[key].pool)
             if delta:
                 entries.append((entry_of[key], delta))
         self._pending_offsets.clear()
@@ -556,13 +561,9 @@ class Maintainer:
             return None
         entries.sort()
         self._last_lb_flush = now
-        for entry_index, delta in entries:
-            self.plist = apply_lb_update(self.plist, entry_index, delta)
-        for entry_index, _ in entries:
-            group = self.plist.pool.groups[entry_index]
-            prev = self.defs[group.key]
-            self.defs[group.key] = RecordDef(group.key, group.active, prev.pool)
-        return LbUpdate(tuple(entries))
+        update = LbUpdate(tuple(entries))
+        self.plist = apply_lb_update(self.plist, update.entries)
+        return update
 
 
 class SimulatedUpstream:
@@ -605,11 +606,10 @@ class PlainUdpUpstream:
                 sock.close()
             try:
                 parsed = parse_response(data)
-            except MalformedMessage:
+                if parsed.txid == txid:
+                    return self._interpret(key, parsed)
+            except ValueError:  # malformed, unsupported or ill-sized answers
                 continue
-            if parsed.txid != txid:
-                continue
-            return self._interpret(key, parsed)
         raise UpstreamFailure(f"no usable response for {key}")
 
     @staticmethod
@@ -625,22 +625,11 @@ class PlainUdpUpstream:
             if ans.owner != key.name:
                 continue
             if ans.type_code == int(key.rtype):
+                RecordAnswer(key.rtype, ans.data)  # ValueError when ill-sized
                 answers.append(ans.data)
                 ttls.append(ans.ttl)
             elif ans.type_code == int(RecordType.CNAME) and cname is None:
-                labels, _ = _read_wire_name(ans.data)
-                cname = DomainName.from_wire_labels(labels)
+                cname = RecordAnswer(RecordType.CNAME, ans.data).cname_target
                 ttls.append(ans.ttl)
         ttl = min(ttls) if ttls else 300
         return UpstreamAnswer(ttl=ttl, answers=tuple(answers), cname=cname)
-
-
-def _read_wire_name(data: bytes) -> tuple[list[bytes], int]:
-    labels = []
-    pos = 0
-    while True:
-        n = data[pos]
-        if n == 0:
-            return labels, pos + 1
-        labels.append(data[pos + 1 : pos + 1 + n])
-        pos += 1 + n

@@ -162,7 +162,6 @@ class PlanHop:
     key_element: bytes  # p_i as that hop will see it
     hop_hash: bytes  # h_i as that hop will see it
     sym_key: bytes  # s_i
-    blind_scalar: int  # b_i
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,6 @@ class PathPlanBuilder:
                 key_element=self._element,
                 hop_hash=self._hash,
                 sym_key=s,
-                blind_scalar=b,
             )
         )
         self._hash = next_hash(self._hash, s, self.t_timestamp)

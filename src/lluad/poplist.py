@@ -1,26 +1,44 @@
-"""The client-local popularity list: a label tree plus a load-balancing pool.
+"""The client-local popularity list: one record table, a label tree derived
+from it for the wire.
 
-Records are keyed by (domain, type).  Domains share a tree in which chains
-of single-child nodes carrying no records are merged into one node holding
-several labels, so "a.b.example.com" costs one node when the intermediate
-names hold nothing.  Each record occupies one answer slot at its node:
+A list is an immutable value holding three things:
+
+    records         RecordKey -> RecordDef, the only live form of the list
+    lb_entry_order  the load-balanced keys in canonical order; a key's
+                    position is its pool entry index in pointer updates
+    generation      advanced by one per update message and per pointer change
+
+A load-balanced record keeps its pool (sorted and deduplicated) and its
+active answer in its RecordDef.  Three rules hold for every list: a CNAME
+never shares its name with another record, every CNAME target holds a
+record (so a lookup never leaves the table) and CNAMEs form no cycle.
+`build_list` checks all records; updates copy the table, edit the copy and
+check only the records they touch.
+
+Two views are derived from the table.  `pool.groups` lists the pool in
+entry order.  `roots` is the label tree of the wire format, in which
+chains of single-child nodes carrying no records are merged into one node
+holding several labels, so "a.b.example.com" costs one node when the
+intermediate names hold nothing.  Each record occupies one slot at its
+node:
 
     inline        the answer bytes stored in place
     pool pointer  an index into the load-balancing pool (records whose
                   answer rotates across a set of addresses)
     cname         a reference to another name in the tree
 
-CNAME targets are always present (closure is enforced at construction),
-so a lookup never leaves the structure.  Lists are immutable; updates
-produce a new list with the generation counter advanced.
+The tree is built on first use, by `serialize` or by reading `roots`, once
+per membership: pointer rotations change no slot, so every list reached
+from another by rotations alone shares its tree object.
 """
 
 from __future__ import annotations
 
+import threading
 import zlib
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 from .dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
 
@@ -93,21 +111,6 @@ class LoadBalancingPool:
 
 
 @dataclass(frozen=True)
-class PopularityList:
-    roots: tuple[ListNode, ...]
-    pool: LoadBalancingPool
-    generation: int = 0
-
-    @property
-    def lb_entry_order(self) -> tuple[RecordKey, ...]:
-        return tuple(g.key for g in self.pool.groups)
-
-    def same_structure(self, other: "PopularityList") -> bool:
-        """Equality modulo the generation counter."""
-        return self.roots == other.roots and self.pool == other.pool
-
-
-@dataclass(frozen=True)
 class RecordDef:
     """Source material for one record.
 
@@ -134,9 +137,45 @@ class RecordDef:
     def load_balanced(self) -> bool:
         return bool(self.pool)
 
-    @property
+    @cached_property
     def cname_target(self) -> DomainName:
         return RecordAnswer(RecordType.CNAME, self.answer).cname_target
+
+
+_TREE_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True)
+class PopularityList:
+    """Treat `records` as read-only: list values share it with no copy."""
+
+    records: Mapping[RecordKey, RecordDef]
+    lb_entry_order: tuple[RecordKey, ...]
+    generation: int = 0
+    # the label tree of this membership, once built; rotations share it
+    _tree: list = field(default_factory=lambda: [None], compare=False, repr=False)
+
+    @property
+    def roots(self) -> tuple[ListNode, ...]:
+        with _TREE_LOCK:
+            if self._tree[0] is None:
+                self._tree[0] = _build_tree(self)
+            return self._tree[0]
+
+    @cached_property
+    def pool(self) -> LoadBalancingPool:
+        groups = []
+        for key in self.lb_entry_order:
+            d = self.records[key]
+            groups.append(PoolGroup(key, d.pool, d.pool.index(d.answer)))
+        return LoadBalancingPool(tuple(groups))
+
+    def same_structure(self, other: "PopularityList") -> bool:
+        """Equality modulo the generation counter."""
+        return (
+            self.records == other.records
+            and self.lb_entry_order == other.lb_entry_order
+        )
 
 
 @dataclass(frozen=True)
@@ -144,6 +183,67 @@ class Hit:
     """Lookup success: the full answer chain, CNAMEs first."""
 
     answers: tuple[RecordAnswer, ...]
+
+
+def _canonical(d: RecordDef) -> RecordDef:
+    """The form the table holds: sorted, deduplicated pools and CNAME
+    targets in uncompressed lowercase wire form."""
+    if d.pool:
+        pool = tuple(sorted(set(d.pool)))
+        if pool != d.pool:
+            return RecordDef(d.key, d.answer, pool)
+    elif d.key.rtype == RecordType.CNAME:
+        wire = d.cname_target.wire
+        if wire != d.answer:
+            return RecordDef(d.key, wire)
+    return d
+
+
+def _has_records(table: Mapping[RecordKey, RecordDef], name: DomainName) -> bool:
+    return any(RecordKey(name, rtype) in table for rtype in RecordType)
+
+
+def _check(table: Mapping[RecordKey, RecordDef], touched: Iterable[RecordDef]) -> None:
+    """Check the list rules for the touched records, which must be the
+    table's current entries.  The rest of the table is assumed to obey
+    them already."""
+    for d in touched:
+        name = d.key.name
+        if d.key.rtype != RecordType.CNAME:
+            if RecordKey(name, RecordType.CNAME) in table:
+                raise InvariantViolation(f"{name} has a CNAME next to other records")
+            continue
+        if any(RecordKey(name, t) in table for t in (RecordType.A, RecordType.AAAA)):
+            raise InvariantViolation(f"{name} has a CNAME next to other records")
+        target = d.cname_target
+        if not _has_records(table, target):
+            raise InvariantViolation(f"CNAME target {target} not in list")
+        seen = {name}
+        cursor = target
+        while cursor not in seen:
+            seen.add(cursor)
+            step = table.get(RecordKey(cursor, RecordType.CNAME))
+            if step is None:
+                break
+            cursor = step.cname_target
+        else:
+            raise InvariantViolation(f"CNAME cycle through {cursor}")
+
+
+def _entry_order(keys: Iterable[RecordKey]) -> tuple[RecordKey, ...]:
+    return tuple(sorted(keys, key=RecordKey.sort_key))
+
+
+def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList:
+    """Canonical constructor; the same records always build the same list."""
+    table: dict[RecordKey, RecordDef] = {}
+    for d in defs:
+        if d.key in table:
+            raise InvariantViolation(f"duplicate record {d.key}")
+        table[d.key] = _canonical(d)
+    _check(table, table.values())
+    order = _entry_order(k for k, d in table.items() if d.pool)
+    return PopularityList(table, order, generation)
 
 
 class _TrieNode:
@@ -154,55 +254,19 @@ class _TrieNode:
         self.slots: dict[RecordType, Slot] = {}
 
 
-def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList:
-    """Canonical constructor; the same records always build the same list."""
-    by_key: dict[RecordKey, RecordDef] = {}
-    for d in defs:
-        if d.key in by_key:
-            raise InvariantViolation(f"duplicate record {d.key}")
-        by_key[d.key] = d
-
-    names: dict[DomainName, dict[RecordType, RecordDef]] = {}
-    for key, d in by_key.items():
-        names.setdefault(key.name, {})[key.rtype] = d
-    for name, recs in names.items():
-        if RecordType.CNAME in recs and len(recs) > 1:
-            raise InvariantViolation(f"{name} has a CNAME next to other records")
-
-    cname_next: dict[DomainName, DomainName] = {}
-    for key, d in by_key.items():
-        if key.rtype == RecordType.CNAME:
-            target = d.cname_target
-            if target not in names:
-                raise InvariantViolation(f"CNAME target {target} not in list")
-            cname_next[key.name] = target
-    for start in cname_next:
-        seen = {start}
-        cursor = start
-        while cursor in cname_next:
-            cursor = cname_next[cursor]
-            if cursor in seen:
-                raise InvariantViolation(f"CNAME cycle through {cursor}")
-            seen.add(cursor)
-
-    lb_keys = sorted(
-        (k for k, d in by_key.items() if d.load_balanced), key=RecordKey.sort_key
-    )
-    entry_index = {k: i for i, k in enumerate(lb_keys)}
-    groups = []
-    for k in lb_keys:
-        d = by_key[k]
-        answers = tuple(sorted(set(d.pool)))
-        groups.append(PoolGroup(k, answers, answers.index(d.answer)))
-
+def _build_tree(plist: PopularityList) -> tuple[ListNode, ...]:
+    entry_index = {k: i for i, k in enumerate(plist.lb_entry_order)}
     root = _TrieNode()
-    for key, d in by_key.items():
+    for key, d in plist.records.items():
         node = root
         for label in key.name.labels:
-            node = node.children.setdefault(label, _TrieNode())
+            child = node.children.get(label)
+            if child is None:
+                child = node.children[label] = _TrieNode()
+            node = child
         if key.rtype == RecordType.CNAME:
             slot: Slot = CnameSlot(d.cname_target)
-        elif d.load_balanced:
+        elif d.pool:
             slot = PoolSlot(entry_index[key])
         else:
             slot = InlineSlot(RecordAnswer(key.rtype, d.answer))
@@ -218,44 +282,7 @@ def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList
             return ListNode((label,) + only.labels, only.slots, only.children)
         return ListNode((label,), slots, children)
 
-    roots = tuple(convert(lb, child) for lb, child in sorted(root.children.items()))
-    return PopularityList(roots, LoadBalancingPool(tuple(groups)), generation)
-
-
-def _find_node(roots: tuple[ListNode, ...], labels: tuple[str, ...]) -> ListNode | None:
-    nodes = roots
-    i = 0
-    while True:
-        j = bisect_left(nodes, labels[i], key=lambda n: n.labels[0])
-        if j == len(nodes) or nodes[j].labels[0] != labels[i]:
-            return None
-        node = nodes[j]
-        span = node.labels
-        if labels[i : i + len(span)] != span:
-            return None
-        i += len(span)
-        if i == len(labels):
-            return node
-        nodes = node.children
-
-
-def _slot_answer(plist: PopularityList, slot: Slot) -> RecordAnswer:
-    if isinstance(slot, InlineSlot):
-        return slot.answer
-    if isinstance(slot, PoolSlot):
-        if slot.entry_index >= len(plist.pool.groups):
-            raise IndexOutOfRange(f"pool entry {slot.entry_index}")
-        group = plist.pool.groups[slot.entry_index]
-        return RecordAnswer(group.key.rtype, group.active)
-    return RecordAnswer.cname(slot.target)
-
-
-def _slot_rtype(plist: PopularityList, slot: Slot) -> RecordType:
-    if isinstance(slot, InlineSlot):
-        return slot.answer.rtype
-    if isinstance(slot, PoolSlot):
-        return plist.pool.groups[slot.entry_index].key.rtype
-    return RecordType.CNAME
+    return tuple(convert(lb, child) for lb, child in sorted(root.children.items()))
 
 
 def lookup(plist: PopularityList, key: RecordKey) -> Hit | None:
@@ -263,97 +290,93 @@ def lookup(plist: PopularityList, key: RecordKey) -> Hit | None:
 
     Returns the complete answer chain on success, None on a miss.
     """
+    records = plist.records
+    found = records.get(key)
     answers: list[RecordAnswer] = []
     name = key.name
     for _ in range(CNAME_CHAIN_LIMIT):
-        node = _find_node(plist.roots, name.labels)
-        if node is None:
-            return None
-        typed = None
-        via: CnameSlot | None = None
-        for slot in node.slots:
-            rt = _slot_rtype(plist, slot)
-            if rt == key.rtype:
-                typed = slot
-                break
-            if rt == RecordType.CNAME:
-                via = slot
-        if typed is not None:
-            answers.append(_slot_answer(plist, typed))
+        if found is not None:
+            answers.append(RecordAnswer(key.rtype, found.answer))
             return Hit(tuple(answers))
+        via = records.get(RecordKey(name, RecordType.CNAME))
         if via is None:
             return None
-        answers.append(RecordAnswer.cname(via.target))
-        name = via.target
+        answers.append(RecordAnswer(RecordType.CNAME, via.answer))
+        name = via.cname_target
+        found = records.get(RecordKey(name, key.rtype))
     return None
 
 
-def _preorder(
-    plist: PopularityList,
-) -> Iterator[tuple[int, tuple[str, ...], tuple[int, ...], ListNode]]:
-    """Yield (index, full labels, index path from top, node) in the
+def node_paths(plist: PopularityList) -> dict[tuple[str, ...], tuple[int, ...]]:
+    """Full label tuple -> index path from the top, for every node, in the
     canonical preorder that serialization and node references use."""
-    counter = 0
+    paths: dict[tuple[str, ...], tuple[int, ...]] = {}
     stack = [(node, (), ()) for node in reversed(plist.roots)]
     while stack:
         node, prefix, path = stack.pop()
         full = prefix + node.labels
-        here = path + (counter,)
-        yield counter, full, here, node
-        counter += 1
+        paths[full] = path = path + (len(paths),)  # full names are unique
         for child in reversed(node.children):
-            stack.append((child, full, here))
-
-
-def node_paths(plist: PopularityList) -> dict[tuple[str, ...], tuple[int, ...]]:
-    """Full label tuple -> preorder index path, for every node."""
-    return {full: path for _, full, path, _ in _preorder(plist)}
-
-
-def node_names(plist: PopularityList) -> list[tuple[str, ...]]:
-    """Preorder index -> full label tuple."""
-    return [full for _, full, _, _ in _preorder(plist)]
+            stack.append((child, full, path))
+    return paths
 
 
 def iter_records(plist: PopularityList) -> Iterator[RecordDef]:
-    """Recover the record definitions the list was built from."""
-    for _, full, _, node in _preorder(plist):
-        name = DomainName(full)
-        for slot in node.slots:
-            if isinstance(slot, InlineSlot):
-                yield RecordDef(
-                    RecordKey(name, slot.answer.rtype), slot.answer.data
-                )
-            elif isinstance(slot, PoolSlot):
-                group = plist.pool.groups[slot.entry_index]
-                yield RecordDef(group.key, group.active, group.answers)
-            else:
-                yield RecordDef(
-                    RecordKey(name, RecordType.CNAME), slot.target.wire
-                )
+    """The record definitions the list holds."""
+    return iter(plist.records.values())
 
 
 def record_count(plist: PopularityList) -> int:
-    return sum(len(node.slots) for _, _, _, node in _preorder(plist))
+    return len(plist.records)
 
 
 def apply_lb_update(
-    plist: PopularityList, entry_index: int, answer_offset: int
+    plist: PopularityList, entries: Iterable[tuple[int, int]]
 ) -> PopularityList:
-    """Rotate one pool group's active answer by a signed offset."""
-    groups = plist.pool.groups
-    if not 0 <= entry_index < len(groups):
-        raise IndexOutOfRange(f"pool entry {entry_index} of {len(groups)}")
-    group = groups[entry_index]
-    moved = PoolGroup(
-        group.key,
-        group.answers,
-        (group.current_index + answer_offset) % len(group.answers),
-    )
-    new_groups = groups[:entry_index] + (moved,) + groups[entry_index + 1 :]
-    return PopularityList(
-        plist.roots, LoadBalancingPool(new_groups), plist.generation + 1
-    )
+    """Rotate pool groups' active answers.
+
+    Each (pool entry index, signed offset) pair moves one group's active
+    answer by the offset, modulo the group size, and advances the
+    generation by one.  The result shares the tree of `plist`.
+    """
+    table = dict(plist.records)
+    order = plist.lb_entry_order
+    applied = 0
+    for entry_index, offset in entries:
+        if not 0 <= entry_index < len(order):
+            raise IndexOutOfRange(f"pool entry {entry_index} of {len(order)}")
+        key = order[entry_index]
+        d = table[key]
+        pool = d.pool
+        moved = pool[(pool.index(d.answer) + offset) % len(pool)]
+        table[key] = RecordDef(key, moved, pool)
+        applied += 1
+    if not applied:
+        return plist
+    return PopularityList(table, order, plist.generation + applied, plist._tree)
+
+
+def _retain(
+    table: dict[RecordKey, RecordDef], removed: dict[RecordKey, RecordDef]
+) -> None:
+    """Put back removed records at names left with no record while a
+    surviving CNAME still targets them (and, in turn, what the put-back
+    CNAMEs target)."""
+    by_name: dict[DomainName, list[RecordKey]] = {}
+    for key in removed:
+        if key not in table and not _has_records(table, key.name):
+            by_name.setdefault(key.name, []).append(key)
+    if not by_name:
+        return
+    targets = {
+        d.cname_target for d in table.values() if d.key.rtype == RecordType.CNAME
+    }
+    pending = [name for name in by_name if name in targets]
+    while pending:
+        for key in by_name.pop(pending.pop(), ()):
+            table[key] = removed[key]
+            if key.rtype == RecordType.CNAME and table[key].cname_target in by_name:
+                pending.append(table[key].cname_target)
 
 
 def apply_membership_update(
@@ -361,37 +384,32 @@ def apply_membership_update(
     removals: Iterable[RecordKey] = (),
     additions: Iterable[RecordDef] = (),
 ) -> PopularityList:
-    """Remove and upsert records, then rebuild canonically.
+    """Remove, then upsert records.
 
     A removal whose record is still referenced as a CNAME target by a
-    surviving record is retained until the last referrer goes.
+    surviving record is retained until the last referrer goes.  Only the
+    records the update touches are checked.
     """
-    original = {d.key: d for d in iter_records(plist)}
-    defs = dict(original)
-    removed: set[RecordKey] = set()
+    table = dict(plist.records)
+    removed: dict[RecordKey, RecordDef] = {}
     for key in removals:
-        if key not in defs:
+        if key not in table:
             raise UnknownRecord(str(key))
-        del defs[key]
-        removed.add(key)
+        removed[key] = table.pop(key)
+    added: dict[RecordKey, RecordDef] = {}
     for d in additions:
-        defs[d.key] = d
+        table[d.key] = added[d.key] = _canonical(d)
+    _retain(table, removed)
+    _check(table, added.values())
 
-    while True:
-        present = {k.name for k in defs}
-        needed = {
-            d.cname_target
-            for d in defs.values()
-            if d.key.rtype == RecordType.CNAME and d.cname_target not in present
-        }
-        restorable = [k for k in removed if k.name in needed]
-        if not restorable:
-            break
-        for k in restorable:
-            defs[k] = original[k]
-            removed.discard(k)
-
-    return build_list(defs.values(), generation=plist.generation + 1)
+    order = plist.lb_entry_order
+    old = plist.records
+    if any(d.pool and k not in table for k, d in removed.items()) or any(
+        bool(d.pool) != (k in old and bool(old[k].pool)) for k, d in added.items()
+    ):
+        pooled = {k for k in order if k in table and table[k].pool}
+        order = _entry_order(pooled.union(k for k, d in added.items() if d.pool))
+    return PopularityList(table, order, plist.generation + 1)
 
 
 def _u24(value: int) -> bytes:
@@ -408,14 +426,11 @@ _KIND_CNAME = 2
 def serialize(plist: PopularityList, compress: bool = False) -> bytes:
     """Encode to the list wire format.  Deterministic for equal lists."""
     paths = node_paths(plist)
-    names = node_names(plist)
     index_of = {full: path[-1] for full, path in paths.items()}
 
     body = bytearray()
-    records = 0
 
     def emit_node(node: ListNode, prefix: tuple[str, ...]) -> None:
-        nonlocal records
         full = prefix + node.labels
         if len(node.labels) > 0xFF or len(node.slots) > 0xFF:
             raise FormatError("node exceeds format limits")
@@ -426,7 +441,6 @@ def serialize(plist: PopularityList, compress: bool = False) -> bytes:
             body.extend(raw)
         body.append(len(node.slots))
         for slot in node.slots:
-            records += 1
             if isinstance(slot, InlineSlot):
                 body.append(_KIND_INLINE)
                 body.extend(int(slot.answer.rtype).to_bytes(2, "big"))
@@ -474,8 +488,8 @@ def serialize(plist: PopularityList, compress: bool = False) -> bytes:
     header = (
         MAGIC
         + bytes([VERSION, flags])
-        + records.to_bytes(4, "big")
-        + len(plist.pool.groups).to_bytes(4, "big")
+        + len(plist.records).to_bytes(4, "big")
+        + len(plist.lb_entry_order).to_bytes(4, "big")
     )
     return header + payload
 
@@ -507,16 +521,6 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-class _RawNode:
-    __slots__ = ("labels", "slots", "children", "full")
-
-    def __init__(self, labels, slots, children, full):
-        self.labels = labels
-        self.slots = slots  # InlineSlot | PoolSlot | ("cname", path)
-        self.children = children
-        self.full = full
-
-
 def deserialize(data: bytes, generation: int = 0) -> PopularityList:
     """Decode the list wire format, validating structural invariants."""
     if len(data) < 14:
@@ -536,11 +540,25 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
             raise FormatError(f"bad compressed payload: {exc}") from None
 
     reader = _Reader(payload)
-    names: list[tuple[str, ...]] = []
+    names: list[tuple[str, ...]] = []  # preorder index -> full labels
     parents: list[int | None] = []
+    table: dict[RecordKey, RecordDef] = {}
+    cname_paths: list[tuple[RecordKey, tuple[int, ...]]] = []
+    pool_nodes: dict[int, int] = {}  # pool entry -> node index of its slot
     records_seen = 0
 
-    def read_node(prefix: tuple[str, ...], parent: int | None) -> _RawNode:
+    def put(d: RecordDef) -> None:
+        if d.key in table:
+            raise FormatError(f"record {d.key} appears twice")
+        table[d.key] = d
+
+    def domain(labels: tuple[str, ...]) -> DomainName:
+        try:
+            return DomainName(labels)
+        except ValueError as exc:
+            raise FormatError(f"bad name: {exc}") from None
+
+    def read_node(prefix: tuple[str, ...], parent: int | None) -> None:
         nonlocal records_seen
         index = len(names)
         label_count = reader.u8()
@@ -554,32 +572,34 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
         names.append(full)
         parents.append(parent)
         slot_count = reader.u8()
-        slots = []
+        name = domain(full) if slot_count else None
         for _ in range(slot_count):
             kind = reader.u8()
             if kind == _KIND_INLINE:
                 rtype = RecordType.from_code(reader.u16())
-                slots.append(InlineSlot(RecordAnswer(rtype, reader.take(reader.u8()))))
+                if rtype == RecordType.CNAME:
+                    raise FormatError("inline slot holds a CNAME")
+                put(RecordDef(RecordKey(name, rtype), reader.take(reader.u8())))
             elif kind == _KIND_POOL:
                 entry = reader.u24()
                 if entry >= group_count:
                     raise FormatError(f"pool entry {entry} out of range")
-                slots.append(PoolSlot(entry))
+                if entry in pool_nodes:
+                    raise FormatError("pool entries and slots do not match one-to-one")
+                pool_nodes[entry] = index
             elif kind == _KIND_CNAME:
                 path = tuple(reader.u24() for _ in range(reader.u8()))
                 if not path:
                     raise FormatError("empty reference path")
-                slots.append(("cname", path))
+                cname_paths.append((RecordKey(name, RecordType.CNAME), path))
             else:
                 raise FormatError(f"unknown slot kind {kind}")
             records_seen += 1
-        child_count = reader.u16()
-        children = [read_node(full, index) for _ in range(child_count)]
-        return _RawNode(tuple(labels), slots, children, full)
+        for _ in range(reader.u16()):
+            read_node(full, index)
 
-    raw_roots = []
     while records_seen < records_declared:
-        raw_roots.append(read_node((), None))
+        read_node((), None)
     if records_seen != records_declared:
         raise FormatError("record count mismatch")
 
@@ -592,24 +612,10 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
                 raise FormatError("reference path is not an ancestor chain")
         if parents[path[0]] is not None:
             raise FormatError("reference path must start at a top node")
-        return DomainName(names[path[-1]])
+        return domain(names[path[-1]])
 
-    pool_refs: list[int] = []
-
-    def freeze(raw: _RawNode) -> ListNode:
-        slots = []
-        for slot in raw.slots:
-            if isinstance(slot, tuple):
-                slots.append(CnameSlot(resolve_path(slot[1])))
-            else:
-                if isinstance(slot, PoolSlot):
-                    pool_refs.append(slot.entry_index)
-                slots.append(slot)
-        return ListNode(
-            raw.labels, tuple(slots), tuple(freeze(c) for c in raw.children)
-        )
-
-    roots = tuple(freeze(r) for r in raw_roots)
+    for ckey, path in cname_paths:
+        put(RecordDef(ckey, resolve_path(path).wire))
 
     groups = []
     for _ in range(group_count):
@@ -620,9 +626,7 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
         current = reader.u8()
         if answer_count == 0 or current >= answer_count:
             raise FormatError("bad pool group counters")
-        answers = []
-        for _ in range(answer_count):
-            answers.append(bytes(reader.take(reader.u8())))
+        answers = tuple(bytes(reader.take(reader.u8())) for _ in range(answer_count))
         length = {len(a) for a in answers}
         if length == {4}:
             rtype = RecordType.A
@@ -630,24 +634,24 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
             rtype = RecordType.AAAA
         else:
             raise FormatError("pool answers must be uniformly 4 or 16 bytes")
-        key = RecordKey(DomainName(names[node_ref]), rtype)
-        groups.append(PoolGroup(key, tuple(answers), current))
+        groups.append((RecordKey(domain(names[node_ref]), rtype), answers, current))
     if not reader.done():
         raise FormatError("trailing bytes")
 
-    keys = [g.key.sort_key() for g in groups]
+    keys = [key.sort_key() for key, _, _ in groups]
     if keys != sorted(keys) or len(set(keys)) != len(keys):
         raise FormatError("pool groups not in canonical order")
-    if sorted(pool_refs) != list(range(group_count)):
+    if len(pool_nodes) != group_count:
         raise FormatError("pool entries and slots do not match one-to-one")
-
-    plist = PopularityList(roots, LoadBalancingPool(tuple(groups)), generation)
-    for group in plist.pool.groups:  # answers must be sorted and deduplicated
-        if list(group.answers) != sorted(set(group.answers)):
+    for entry, (key, answers, current) in enumerate(groups):
+        if list(answers) != sorted(set(answers)):
             raise FormatError("pool answers not canonical")
-    for _, full, _, node in _preorder(plist):
-        for slot in node.slots:
-            if isinstance(slot, PoolSlot):
-                if plist.pool.groups[slot.entry_index].key.name.labels != full:
-                    raise FormatError("pool group points at a different name")
-    return plist
+        if key.name.labels != names[pool_nodes[entry]]:
+            raise FormatError("pool group points at a different name")
+        put(RecordDef(key, answers[current], answers))
+
+    try:
+        _check(table, table.values())
+    except InvariantViolation as exc:
+        raise FormatError(str(exc)) from None
+    return PopularityList(table, tuple(key for key, _, _ in groups), generation)

@@ -232,7 +232,7 @@ class LluadServer:
             server_priv,
             quota,
             _SessionTransport(self),
-            known_records=[d.key for d in maintainer.defs.values()],
+            known_records=list(maintainer.plist.records),
         )
         self.report_log = ReportLog()
         self.round_index = 0

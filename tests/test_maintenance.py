@@ -2,6 +2,9 @@
 refresh / requery / batch cycle against a scripted upstream."""
 
 import random
+import socket
+import struct
+import threading
 from collections import Counter
 
 import pytest
@@ -12,6 +15,7 @@ from lluad.maintenance import (
     Maintainer,
     MaintenanceConfig,
     MembershipUpdate,
+    PlainUdpUpstream,
     PopularityScore,
     ScoreBoard,
     TtlSchedule,
@@ -407,3 +411,96 @@ def test_client_applying_stream_matches_server_state():
             replica = apply_update(replica, msg)
         assert replica.same_structure(m.plist), f"diverged at step {step}"
         assert replica.generation == m.generation
+
+
+def test_retargeted_cname_chains_keep_replica_identical():
+    # www -> mid -> old-origin; then mid turns into an address record and
+    # www's chain ends there, so mid's CNAME and old-origin both leave
+    upstream = ScriptedUpstream()
+    upstream.set_cname("www.example", "mid.example", ttl=3600)
+    upstream.set_cname("mid.example", "old-origin.example", ttl=60)
+    upstream.set_a("old-origin.example", "203.0.113.1", ttl=3600)
+    m = Maintainer(cfg(), upstream, rng=random.Random(11))
+    voted = key("www.example")
+    m.ingest_votes([voted])
+    replica = build_list([])
+    for msg in m.run_refresh(0.0):
+        replica = apply_update(replica, msg)
+    upstream.table.pop(key("mid.example"))
+    upstream.set_a("mid.example", "203.0.113.2", ttl=3600)
+    msgs = m.run_ttl(61.0)
+    assert msgs
+    for msg in msgs:
+        replica = apply_update(replica, msg)
+    assert replica.same_structure(m.plist) and replica.generation == m.generation
+    assert lookup(m.plist, voted).answers[-1].data == bytes([203, 0, 113, 2])
+    assert record_count(m.plist) == 2
+
+    # a plain retarget: www -> mid becomes www -> new-origin
+    upstream.set_cname("www.example", "new-origin.example", ttl=60)
+    upstream.set_a("new-origin.example", "203.0.113.3", ttl=3600)
+    m.schedule.schedule(key("www.example", RecordType.CNAME), 100.0)
+    for msg in m.run_ttl(100.0):
+        replica = apply_update(replica, msg)
+    assert replica.same_structure(m.plist) and replica.generation == m.generation
+    assert lookup(m.plist, key("mid.example")) is None
+    assert lookup(m.plist, voted).answers[-1].data == bytes([203, 0, 113, 3])
+
+
+# -- the plain UDP upstream against replies from outside ---------------------
+
+
+@pytest.fixture
+def one_shot_resolver():
+    """A resolver on 127.0.0.1 that answers the first query with the
+    bytes `reply(query)` returns, then stays silent."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(10.0)
+    threads = []
+
+    def start(reply):
+        def serve():
+            try:
+                query, peer = sock.recvfrom(4096)
+                sock.sendto(reply(query), peer)
+            except OSError:
+                pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        threads.append(thread)
+        return sock.getsockname()
+
+    yield start
+    sock.close()
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+def _reply(query: bytes, rtype: RecordType, rdata: bytes) -> bytes:
+    """A response echoing the query's question with one answer owned by
+    the query name (a compression pointer to the question)."""
+    header = query[:2] + struct.pack("!HHHHH", 0x8180, 1, 1, 0, 0)
+    answer = struct.pack("!HHHIH", 0xC00C, int(rtype), 1, 300, len(rdata)) + rdata
+    return header + query[12:] + answer
+
+
+def test_upstream_cname_to_unsupported_label_is_a_failed_try(one_shot_resolver):
+    endpoint = one_shot_resolver(
+        lambda q: _reply(q, RecordType.CNAME, b"\x03a!b\x07example\x00")
+    )
+    upstream = PlainUdpUpstream(endpoint, timeout=0.3, retries=2)
+    with pytest.raises(UpstreamFailure):
+        upstream.resolve(key("www.example"))
+
+
+def test_upstream_short_address_is_a_failed_try(one_shot_resolver):
+    endpoint = one_shot_resolver(lambda q: _reply(q, RecordType.A, b"\xc0\x00\x02"))
+    m = Maintainer(cfg(), PlainUdpUpstream(endpoint, timeout=0.3, retries=2))
+    voted = key("short.example")
+    m.ingest_votes([voted])
+    assert m.run_refresh(0.0) == []
+    assert record_count(m.plist) == 0
+    assert voted in m.scores  # kept for the next refresh, not evicted

@@ -9,6 +9,8 @@ edited record set produces).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import flat_resolve, random_defs
 from lluad.dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
@@ -131,16 +133,16 @@ def test_pool_groups_are_canonical():
 def test_lb_update_rotates_mod_group_size():
     a = [bytes([10, 0, 0, i]) for i in range(1, 5)]
     plist = build_list([RecordDef(key("lb.example"), a[0], tuple(a))])
-    plist2 = apply_lb_update(plist, 0, 3)
+    plist2 = apply_lb_update(plist, [(0, 3)])
     assert plist2.pool.groups[0].active == a[3]
     assert plist2.generation == plist.generation + 1
-    plist3 = apply_lb_update(plist2, 0, 2)  # wraps
+    plist3 = apply_lb_update(plist2, [(0, 2)])  # wraps
     assert plist3.pool.groups[0].active == a[1]
-    back = apply_lb_update(plist3, 0, -1)
+    back = apply_lb_update(plist3, [(0, -1)])
     assert back.pool.groups[0].active == a[0]
     assert back.same_structure(plist)
     with pytest.raises(IndexOutOfRange):
-        apply_lb_update(plist, 5, 1)
+        apply_lb_update(plist, [(5, 1)])
 
 
 def test_lb_offsets_compose_additively():
@@ -150,8 +152,8 @@ def test_lb_offsets_compose_additively():
     offsets = [rng.randint(-7, 7) for _ in range(30)]
     stepped = plist
     for off in offsets:
-        stepped = apply_lb_update(stepped, 0, off)
-    direct = apply_lb_update(plist, 0, sum(offsets))
+        stepped = apply_lb_update(stepped, [(0, off)])
+    direct = apply_lb_update(plist, [(0, sum(offsets))])
     assert stepped.pool.groups[0] == direct.pool.groups[0]
 
 
@@ -329,3 +331,168 @@ def test_pool_and_cname_slot_kinds_survive_round_trip():
 
     slot_kinds = {type(s) for root in again.roots for s in walk(root)}
     assert PoolSlot in slot_kinds and CnameSlot in slot_kinds
+
+
+# -- the record table against rebuild-from-records ---------------------------------
+
+_NAMES = [
+    DomainName.from_text(t)
+    for t in ("a.example", "b.example", "c.b.example", "d.example.net", "e.net")
+]
+_ADDRESSES = {
+    RecordType.A: [bytes([192, 0, 2, i]) for i in range(1, 5)],
+    RecordType.AAAA: [bytes(15) + bytes([i]) for i in range(1, 5)],
+}
+
+
+def _old_membership_update(model, removals, additions):
+    """The edit rules as the rebuild implementation applied them: remove,
+    upsert, then put back removed records while a surviving CNAME targets
+    their emptied name."""
+    defs = dict(model)
+    removed = set()
+    for k in removals:
+        if k not in defs:
+            raise UnknownRecord(str(k))
+        del defs[k]
+        removed.add(k)
+    for d in additions:
+        defs[d.key] = d
+    while True:
+        present = {k.name for k in defs}
+        needed = {
+            d.cname_target
+            for d in defs.values()
+            if d.key.rtype == RecordType.CNAME and d.cname_target not in present
+        }
+        restorable = [k for k in removed if k.name in needed]
+        if not restorable:
+            return defs
+        for k in restorable:
+            defs[k] = model[k]
+            removed.discard(k)
+
+
+def _random_record(rng):
+    name = rng.choice(_NAMES)
+    kind = rng.choice(["plain", "pooled", "cname"])
+    if kind == "cname":
+        target = rng.choice(_NAMES)
+        return RecordDef(RecordKey(name, RecordType.CNAME), target.wire)
+    rtype = rng.choice([RecordType.A, RecordType.AAAA])
+    if kind == "plain":
+        return RecordDef(RecordKey(name, rtype), rng.choice(_ADDRESSES[rtype]))
+    pool = tuple(rng.choices(_ADDRESSES[rtype], k=rng.randint(1, 4)))
+    return RecordDef(RecordKey(name, rtype), rng.choice(pool), pool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_incremental_updates_match_rebuild_of_flat_model(rng):
+    model: dict = {}
+    plist = build_list([])
+    probes = [RecordKey(n, t) for n in _NAMES for t in RecordType]
+    for _ in range(20):
+        if rng.random() < 0.3:
+            order = sorted(
+                (k for k, d in model.items() if d.pool), key=RecordKey.sort_key
+            )
+            entries = [
+                (rng.randint(0, len(order)), rng.randint(-5, 5))
+                for _ in range(rng.randint(0, 4))
+            ]
+            if any(i >= len(order) for i, _ in entries):
+                with pytest.raises(IndexOutOfRange):
+                    apply_lb_update(plist, entries)
+                continue
+            for i, offset in entries:
+                d = model[order[i]]
+                pool = tuple(sorted(set(d.pool)))
+                moved = pool[(pool.index(d.answer) + offset) % len(pool)]
+                model[order[i]] = RecordDef(d.key, moved, pool)
+            expected_generation = plist.generation + len(entries)
+            plist = apply_lb_update(plist, entries)
+        else:
+            keys = sorted(model, key=RecordKey.sort_key)
+            removals = rng.sample(keys, rng.randint(0, min(3, len(keys))))
+            additions = [_random_record(rng) for _ in range(rng.randint(0, 3))]
+            edited = _old_membership_update(model, removals, additions)
+            try:
+                build_list(edited.values())
+            except InvariantViolation:
+                with pytest.raises(InvariantViolation):
+                    apply_membership_update(plist, removals, additions)
+                continue
+            model = edited
+            expected_generation = plist.generation + 1
+            plist = apply_membership_update(plist, removals, additions)
+        assert plist.generation == expected_generation
+        rebuilt = build_list(model.values(), generation=plist.generation)
+        assert serialize(plist) == serialize(rebuilt)
+        assert plist == rebuilt
+        for probe in probes:
+            expected = flat_resolve(list(model.values()), probe)
+            got = lookup(plist, probe)
+            assert (None if got is None else list(got.answers)) == expected, probe
+
+
+def test_snapshot_bytes_pinned():
+    import hashlib
+
+    from lluad.traces import SyntheticUniverse, UniverseConfig
+
+    universe = SyntheticUniverse(
+        UniverseConfig(3000, seed=11, lb_fraction=0.05, cname_fraction=0.05)
+    )
+    defs = universe.record_defs(2500)
+    plist = build_list(defs)
+    data = serialize(plist)
+    assert len(data) == 72874
+    assert hashlib.sha256(data).hexdigest() == (
+        "0fdc94dff183407b344a67437ff03a5bc48cc4d75934bc9d505d4a160a2b934e"
+    )
+    plist = apply_membership_update(plist, removals=[d.key for d in defs[100:110]])
+    plist = apply_lb_update(plist, [(0, 1)])
+    data = serialize(plist)
+    assert (len(data), plist.generation) == (72300, 2)
+    assert hashlib.sha256(data).hexdigest() == (
+        "3db0df76f93f477e2a6572d95d1ec58689e25857a73d5d2d314cb07f09cf2f10"
+    )
+
+
+def test_rotations_share_the_tree_and_no_value_changes():
+    defs = random_defs(random.Random(38))
+    plist = build_list(defs)
+    history = [(plist, serialize(plist), dict(plist.records))]
+    rotated = apply_lb_update(plist, [(0, 1), (2, -1)])
+    assert rotated.roots is plist.roots
+    assert rotated.pool.groups[0].current_index != plist.pool.groups[0].current_index
+    history.append((rotated, serialize(rotated), dict(rotated.records)))
+    changed = apply_membership_update(rotated, additions=[plain("fresh.example")])
+    assert changed.roots is not rotated.roots
+    history.append((changed, serialize(changed), dict(changed.records)))
+    upserted = apply_membership_update(
+        changed, additions=[plain("fresh.example", "192.0.2.7")]
+    )
+    assert upserted.roots is not changed.roots
+    removed = apply_membership_update(upserted, removals=[key("fresh.example")])
+    assert removed.roots is not upserted.roots
+    apply_lb_update(removed, [(1, 1)])
+    for value, data, records in history:
+        assert serialize(value) == data
+        assert value.records == records
+
+
+def test_deserialize_rejects_a_record_named_twice():
+    def snapshot(records: int, body: bytes) -> bytes:
+        return b"LLPL" + bytes([1, 0]) + records.to_bytes(4, "big") + bytes(4) + body
+
+    answer = bytes([0, 0, 1, 4, 192, 0, 2, 1])  # inline slot: A 192.0.2.1
+    node = bytes([2, 7]) + b"example" + bytes([1]) + b"a"
+    one = snapshot(1, node + bytes([1]) + answer + bytes(2))
+    assert lookup(deserialize(one), key("a.example")) is not None
+    with pytest.raises(FormatError):  # two slots of one type at one node
+        deserialize(snapshot(2, node + bytes([2]) + answer + answer + bytes(2)))
+    with pytest.raises(FormatError):  # the same name reached by two nodes
+        top = node + bytes([1]) + answer + bytes(2)
+        deserialize(snapshot(2, top + top))
