@@ -150,14 +150,6 @@ class ScoreBoard:
             for score in victims:
                 del self._scores[score.key]
 
-    def effective(self, key: RecordKey, round_index: int) -> float:
-        score = self._scores.get(key)
-        if score is None:
-            return 0.0
-        return score.weighted * (1.0 - self._cfg.weight_a) ** (
-            round_index - score.last_round
-        )
-
     def top(
         self, round_index: int, n: int, incumbents: frozenset[RecordKey]
     ) -> list[RecordKey]:
