@@ -26,7 +26,7 @@ ROUNDS = 12
 def main() -> None:
     universe = SyntheticUniverse(UniverseConfig(2000, seed=3, lb_fraction=0.2))
     now = [0.0]
-    cfg = MaintenanceConfig(n_popular=150, t_refresh=600, fast_start_rounds=4)
+    cfg = MaintenanceConfig(n_popular=150, t_refresh=600)
     maintainer = Maintainer(
         cfg, universe.upstream(clock=lambda: now[0]), rng=Random(3)
     )

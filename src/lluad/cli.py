@@ -4,7 +4,8 @@ Subcommands: `server` and `client` run the two daemons, `sim` runs the
 trace-driven experiments, `trace gen` writes synthetic query traces,
 `list inspect` pretty-prints a serialized list, `plotdata` emits a batch
 of figure-ready CSVs, and `keygen` mints a curve keypair for registry
-files.  Values resolve as flags > config file > built-in defaults.
+files.  A `--config` file supplies defaults for the subcommand's flags:
+flags beat the file, the file beats built-in defaults.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from random import Random
 from .client import (
     DEFAULT_DNS_PORT,
     FALLBACK_RELAY_HOPS,
+    DohFallback,
     LluadClient,
-    make_fallback,
+    PlainUdpFallback,
 )
-from .config import load_config, parse_bool, parse_hostport, resolve
+from .config import ConfigError, load_config, parse_hostport
 from .curve import encode_element, mult_base, random_scalar
 from .dnsmsg import RecordType
 from .maintenance import Maintainer, MaintenanceConfig, PlainUdpUpstream
@@ -57,7 +59,6 @@ from .simharness import (
     write_manifest,
 )
 from .traces import (
-    QueryTrace,
     SyntheticUniverse,
     UniverseConfig,
     ZipfGeneratorConfig,
@@ -67,21 +68,14 @@ from .traces import (
 )
 from .wire import decode_list_snapshot
 
+SERVER_PORT = 5853
+COLLUSION_GRID = [i / 20 for i in range(21)]
+# flags a config file cannot set: they name one run's inputs and outputs
+FLAG_ONLY = frozenset({"config", "out", "trace", "from_csv", "csv_n_popular"})
+
 
 class UsageError(Exception):
     """Bad flag combination or missing required value."""
-
-
-# field-calibrated operating point; config files and flags override
-DEFAULTS = {
-    "n_popular": 25_000,
-    "t_refresh": 3600,
-    "quota": 10,
-    "voting_rate": 0.3,
-    "n_shuffle": 10,
-    "min_ttl": 60,
-    "fast_start": 18,
-}
 
 
 def _ints(text: str) -> list[int]:
@@ -98,18 +92,20 @@ def _floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _load_cfg(args) -> dict:
-    return load_config(args.config) if getattr(args, "config", None) else {}
+def _words(text: str) -> list[str]:
+    return text.split(",")
+
+
+def _given(**values) -> dict:
+    """The values a flag or the config file set; the rest keep the
+    defaults of the constructor they are passed to."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _require(value, flag: str):
     if value is None:
         raise UsageError(f"missing {flag}")
     return value
-
-
-def _out_path(args, default: str) -> Path:
-    return Path(args.out) if args.out else Path(default)
 
 
 # -- key material ---------------------------------------------------------------
@@ -130,58 +126,37 @@ def _cmd_keygen(args) -> int:
 # -- daemons ----------------------------------------------------------------------
 
 
-def _universe_from(args, cfg, seed: int) -> SyntheticUniverse:
-    size = resolve("universe", args.universe, cfg, None, int)
+def _universe(args) -> SyntheticUniverse:
     return SyntheticUniverse(
         UniverseConfig(
-            size=_require(size, "--universe"),
-            seed=seed,
-            lb_fraction=resolve("lb_fraction", args.lb_fraction, cfg, 0.02, float),
-            cname_fraction=resolve(
-                "cname_fraction", args.cname_fraction, cfg, 0.05, float
-            ),
+            args.universe,
+            seed=args.seed,
+            lb_fraction=args.lb_fraction,
+            cname_fraction=args.cname_fraction,
         )
     )
 
 
-def _maintenance_config(args, cfg) -> MaintenanceConfig:
-    return MaintenanceConfig(
-        n_popular=resolve("n_popular", args.n_popular, cfg, DEFAULTS["n_popular"], int),
-        t_refresh=resolve("t_refresh", args.t_refresh, cfg, DEFAULTS["t_refresh"], int),
-        voting_rate=resolve(
-            "voting_rate", args.voting_rate, cfg, DEFAULTS["voting_rate"], float
-        ),
-        max_votes_per_round=resolve(
-            "max_votes", args.max_votes, cfg, DEFAULTS["quota"], int
-        ),
-        min_ttl=resolve("min_ttl", args.min_ttl, cfg, DEFAULTS["min_ttl"], int),
-        fast_start_rounds=resolve(
-            "fast_start", args.fast_start, cfg, DEFAULTS["fast_start"], int
-        ),
-    )
-
-
 def _cmd_server(args) -> int:
-    cfg = _load_cfg(args)
-    seed = resolve("seed", args.seed, cfg, 0, int)
-    registry = ClientRegistry.load(
-        _require(resolve("registry", args.registry, cfg, None), "--registry")
-    )
-    server_priv = int(_require(resolve("key", args.key, cfg, None), "--key"), 16)
+    registry = ClientRegistry.load(_require(args.registry, "--registry"))
+    server_priv = int(_require(args.key, "--key"), 16)
 
-    upstream_addr = resolve("upstream", args.upstream, cfg, None)
-    universe_size = resolve("universe", args.universe, cfg, None, int)
-    if (upstream_addr is None) == (universe_size is None):
+    if (args.upstream is None) == (args.universe is None):
         raise UsageError("pick exactly one of --upstream and --universe")
     universe = None
-    if upstream_addr is not None:
-        upstream = PlainUdpUpstream(parse_hostport(upstream_addr, 53))
+    if args.upstream is not None:
+        upstream = PlainUdpUpstream(parse_hostport(args.upstream, 53))
     else:
-        universe = _universe_from(args, cfg, seed)
+        universe = _universe(args)
         upstream = universe.upstream(clock=time.time)
 
+    maintenance = MaintenanceConfig(
+        **_given(
+            n_popular=args.n_popular, t_refresh=args.t_refresh, min_ttl=args.min_ttl
+        )
+    )
     maintainer = Maintainer(
-        _maintenance_config(args, cfg), upstream, rng=Random(("server", seed).__repr__())
+        maintenance, upstream, rng=Random(("server", args.seed).__repr__())
     )
     if args.prepopulate:
         if universe is None:
@@ -193,12 +168,12 @@ def _cmd_server(args) -> int:
         registry,
         maintainer,
         server_priv,
-        host=resolve("host", args.host, cfg, "127.0.0.1"),
-        port=resolve("port", args.port, cfg, 5853, int),
-        quota=resolve("quota", args.quota, cfg, DEFAULTS["quota"], int),
-        n_shuffle=resolve("n_shuffle", args.n_shuffle, cfg, DEFAULTS["n_shuffle"], int),
-        straggler_timeout=resolve(
-            "straggler_timeout", args.straggler_timeout, cfg, 10.0, float
+        port=args.port,
+        **_given(
+            host=args.host,
+            quota=args.quota,
+            n_shuffle=args.n_shuffle,
+            straggler_timeout=args.straggler_timeout,
         ),
     )
     server.start()
@@ -212,55 +187,35 @@ def _cmd_server(args) -> int:
 
 
 def _cmd_client(args) -> int:
-    cfg = _load_cfg(args)
-    registry = ClientRegistry.load(
-        _require(resolve("registry", args.registry, cfg, None), "--registry")
-    )
-    server_pub = bytes.fromhex(
-        _require(resolve("server_pub", args.server_pub, cfg, None), "--server-pub")
-    )
-    server_addr = parse_hostport(
-        _require(resolve("server", args.server, cfg, None), "--server"), 5853
-    )
+    registry = ClientRegistry.load(_require(args.registry, "--registry"))
+    server_pub = bytes.fromhex(_require(args.server_pub, "--server-pub"))
+    server_addr = parse_hostport(_require(args.server, "--server"), SERVER_PORT)
 
-    shuffler_key = resolve("shuffler_key", args.shuffler_key, cfg, None)
-    fallback_mode = resolve("fallback", args.fallback, cfg, None)
     fallback = None
-    if fallback_mode == "plain":
-        endpoint = _require(
-            resolve("fallback_endpoint", args.fallback_endpoint, cfg, None),
-            "--fallback-endpoint",
-        )
-        fallback = make_fallback("plain", endpoint=parse_hostport(endpoint, 53))
-    elif fallback_mode == "doh":
-        url = _require(
-            resolve("fallback_url", args.fallback_url, cfg, None), "--fallback-url"
-        )
-        fallback = make_fallback("doh", url=url)
-    elif fallback_mode is not None:
-        raise UsageError(f"no live transport for fallback mode {fallback_mode!r}")
+    if args.fallback == "plain":
+        endpoint = _require(args.fallback_endpoint, "--fallback-endpoint")
+        fallback = PlainUdpFallback(parse_hostport(endpoint, 53))
+    elif args.fallback == "doh":
+        fallback = DohFallback(_require(args.fallback_url, "--fallback-url"))
+    elif args.fallback is not None:
+        raise UsageError(f"no live transport for fallback mode {args.fallback!r}")
 
     client = LluadClient(
-        _require(resolve("id", args.id, cfg, None), "--id"),
-        _require(resolve("token", args.token, cfg, None), "--token"),
+        _require(args.id, "--id"),
+        _require(args.token, "--token"),
         server_addr,
         shuffler_pubs=registry.shuffler_pubs(),
         server_pub=server_pub,
-        shuffler_index=resolve("shuffler_index", args.shuffler_index, cfg, None, int),
-        shuffler_priv=int(shuffler_key, 16) if shuffler_key is not None else None,
-        quota=resolve("quota", args.quota, cfg, DEFAULTS["quota"], int),
-        voting_rate=resolve(
-            "voting_rate", args.voting_rate, cfg, DEFAULTS["voting_rate"], float
-        ),
-        min_ttl=resolve("min_ttl", args.min_ttl, cfg, DEFAULTS["min_ttl"], int),
+        shuffler_index=args.shuffler_index,
+        shuffler_priv=None if args.shuffler_key is None else int(args.shuffler_key, 16),
         fallback=fallback,
+        **_given(quota=args.quota, voting_rate=args.voting_rate, min_ttl=args.min_ttl),
     )
     client.connect()
-    listen_host, listen_port = parse_hostport(
-        resolve("listen", args.listen, cfg, f"127.0.0.1:{DEFAULT_DNS_PORT}"),
-        DEFAULT_DNS_PORT,
-    )
-    bound = client.start_dns_listener(listen_host, listen_port)
+    if args.listen is None:
+        bound = client.start_dns_listener()
+    else:
+        bound = client.start_dns_listener(*parse_hostport(args.listen, DEFAULT_DNS_PORT))
     print(f"resolving on {bound[0]}:{bound[1]} udp", flush=True)
     try:
         while True:
@@ -273,31 +228,28 @@ def _cmd_client(args) -> int:
 # -- traces -------------------------------------------------------------------------
 
 
-def _trace_config(args, cfg, universe_size: int, seed: int) -> ZipfGeneratorConfig:
+def _trace_config(args, universe_size: int) -> ZipfGeneratorConfig:
     return ZipfGeneratorConfig(
         universe=universe_size,
-        exponent=resolve("zipf", args.zipf, cfg, 1.0, float),
-        clients=resolve("clients", args.clients, cfg, 100, int),
-        queries_per_client_hour=resolve("queries", args.queries, cfg, 50, int),
-        hours=resolve("hours", args.hours, cfg, 24, int),
-        churn_rate=resolve("churn", args.churn, cfg, 0.0, float),
-        seed=seed,
-        start_ts=resolve("start_ts", args.start_ts, cfg, 0, int),
+        seed=args.seed,
+        **_given(
+            exponent=args.zipf,
+            clients=args.clients,
+            queries_per_client_hour=args.queries,
+            hours=args.hours,
+            churn_rate=args.churn,
+            start_ts=args.start_ts,
+        ),
     )
 
 
 def _cmd_trace_gen(args) -> int:
-    cfg = _load_cfg(args)
-    seed = resolve("seed", args.seed, cfg, 0, int)
-    if args.universe is None:
-        args.universe = resolve("universe", None, cfg, 100_000, int)
-    universe = _universe_from(args, cfg, seed)
-    trace_cfg = _trace_config(args, cfg, universe.config.size, seed)
+    universe = _universe(args)
+    trace_cfg = _trace_config(args, universe.config.size)
     trace = generate_trace(trace_cfg, universe)
-    out = _out_path(args, "trace.csv")
-    write_trace_csv(trace, str(out))
+    write_trace_csv(trace, args.out)
     print(
-        f"{out}: {len(trace.events)} events, {len(trace.clients)} clients, "
+        f"{args.out}: {len(trace.events)} events, {len(trace.clients)} clients, "
         f"{trace_cfg.hours}h over {universe.config.size} names"
     )
     return 0
@@ -306,116 +258,81 @@ def _cmd_trace_gen(args) -> int:
 # -- simulations ------------------------------------------------------------------
 
 
-def _sim_trace(args, cfg, seed: int) -> tuple[SyntheticUniverse, QueryTrace]:
-    if args.universe is None:
-        args.universe = resolve("universe", None, cfg, 100_000, int)
-    universe = _universe_from(args, cfg, seed)
-    if args.trace:
-        return universe, load_trace_csv(args.trace)
-    return universe, generate_trace(
-        _trace_config(args, cfg, universe.config.size, seed), universe
-    )
-
-
 def _cmd_sim_hit_ratio(args) -> int:
-    cfg = _load_cfg(args)
-    seed = resolve("seed", args.seed, cfg, 0, int)
-    universe, trace = _sim_trace(args, cfg, seed)
-    n_values = resolve("n_popular", args.n_popular, cfg, [DEFAULTS["n_popular"]], _ints)
+    universe = _universe(args)
+    if args.trace:
+        trace = load_trace_csv(args.trace)
+    else:
+        trace = generate_trace(_trace_config(args, universe.config.size), universe)
+    n_values = args.n_popular
     base = HitRatioConfig(
         n_popular=n_values[0],
-        voting_rate=resolve(
-            "voting_rate", args.voting_rate, cfg, DEFAULTS["voting_rate"], float
-        ),
-        max_votes_per_round=resolve(
-            "max_votes", args.max_votes, cfg, DEFAULTS["quota"], int
-        ),
-        fast_start_hours=resolve(
-            "fast_start", args.fast_start, cfg, DEFAULTS["fast_start"], int
-        ),
-        freeze_votes_after=resolve("freeze_after", args.freeze_after, cfg, None, int),
-        voter_cap=resolve("voter_cap", args.voter_cap, cfg, None, int),
         browser_cache=args.browser_cache,
-        seed=seed,
+        seed=args.seed,
+        **_given(
+            voting_rate=args.voting_rate,
+            max_votes_per_round=args.max_votes,
+            fast_start_hours=args.fast_start,
+            freeze_votes_after=args.freeze_after,
+            voter_cap=args.voter_cap,
+        ),
     )
     series = sweep_hit_ratio(trace, universe, n_values, base)
-    out = _out_path(args, "hit_ratio.csv")
-    write_hit_ratio_csv(series, out)
+    write_hit_ratio_csv(series, args.out)
     for n in sorted(series):
         rows = series[n]
         tail = rows[-min(3, len(rows)) :]
         steady = sum(r.hit_ratio for r in tail) / len(tail)
         print(f"N={n}: steady hit ratio {steady:.4f} over last {len(tail)}h")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_sim_exposure(args) -> int:
-    cfg = _load_cfg(args)
-    modes = resolve(
-        "modes", args.modes, cfg, sorted(FALLBACK_RELAY_HOPS), lambda t: t.split(",")
-    )
-    miss = resolve("miss_fraction", args.miss_fraction, cfg, 0.056, float)
-    vote = resolve("vote_fraction", args.vote_fraction, cfg, 0.157, float)
-    overlap = resolve("overlap", args.overlap, cfg, 0.0, float)
-    fit_target = resolve("fit_exposure", args.fit_exposure, cfg, None, float)
-    if fit_target is not None:
-        overlap = fit_overlap(miss, vote, fit_target)
-    collusions = resolve(
-        "collusion", args.collusion, cfg, [i / 20 for i in range(21)], _floats
-    )
-    extra = {}
-    voters = resolve("voters", args.voters, cfg, None, int)
-    if voters is not None:
-        extra["voters"] = voters
+    extra = _given(overlap=args.overlap, voters=args.voters, mix_hops=args.mix_hops)
+    if args.fit_exposure is not None:
+        extra["overlap"] = fit_overlap(
+            args.miss_fraction, args.vote_fraction, args.fit_exposure
+        )
     curves = {
         mode: exposure_curve(
             mode_exposure_params(
                 mode,
-                miss_fraction=miss,
-                vote_fraction=vote,
-                overlap=overlap,
-                mix_hops=resolve("mix_hops", args.mix_hops, cfg, 10, int),
+                miss_fraction=args.miss_fraction,
+                vote_fraction=args.vote_fraction,
                 **extra,
             ),
-            collusions,
+            args.collusion,
         )
-        for mode in modes
+        for mode in args.modes
     }
-    out = _out_path(args, "exposure.csv")
-    write_exposure_csv(curves, out)
-    print(f"wrote {out}: {len(curves)} modes x {len(collusions)} collusion points")
+    write_exposure_csv(curves, args.out)
+    print(
+        f"wrote {args.out}: {len(curves)} modes x {len(args.collusion)} collusion points"
+    )
     return 0
 
 
 def _cmd_sim_bandwidth(args) -> int:
-    cfg = _load_cfg(args)
-    seed = resolve("seed", args.seed, cfg, 0, int)
-    if args.universe is None:
-        args.universe = resolve("universe", None, cfg, 2000, int)
-    if args.lb_fraction is None:
-        args.lb_fraction = resolve("lb_fraction", None, cfg, 0.3, float)
-    universe = _universe_from(args, cfg, seed)
     bw_cfg = BandwidthConfig(
-        hours=resolve("hours", args.hours, cfg, 2, int),
-        clients=resolve("clients", args.clients, cfg, 1, int),
         participate=not args.no_participate,
-        quota=resolve("quota", args.quota, cfg, DEFAULTS["quota"], int),
-        n_shuffle=resolve("n_shuffle", args.n_shuffle, cfg, DEFAULTS["n_shuffle"], int),
-        ttl_step=resolve("ttl_step", args.ttl_step, cfg, 60.0, float),
-        n_popular=resolve(
-            "n_popular", args.n_popular, cfg, DEFAULTS["n_popular"], int
+        seed=args.seed,
+        **_given(
+            hours=args.hours,
+            clients=args.clients,
+            quota=args.quota,
+            n_shuffle=args.n_shuffle,
+            ttl_step=args.ttl_step,
+            n_popular=args.n_popular,
+            fallback_mode=args.fallback,
         ),
-        fallback_mode=resolve("fallback", args.fallback, cfg, "doh"),
-        seed=seed,
     )
     trace = load_trace_csv(args.trace) if args.trace else None
-    report = run_bandwidth(universe, bw_cfg, trace)
-    out = _out_path(args, "bandwidth.csv")
-    write_bandwidth_csv(report, out)
+    report = run_bandwidth(_universe(args), bw_cfg, trace)
+    write_bandwidth_csv(report, args.out)
     total = report.broadcast_bytes
     print(
-        f"wrote {out}: {len(report.hours)}h, broadcast {total} B, "
+        f"wrote {args.out}: {len(report.hours)}h, broadcast {total} B, "
         f"{total / max(1, len(report.hours)) / 1024:.1f} KiB/h per client"
     )
     return 0
@@ -437,25 +354,17 @@ def _read_hit_series(path: str, n_popular: int | None) -> list[float]:
 
 
 def _cmd_sim_latency(args) -> int:
-    cfg = _load_cfg(args)
-    seed = resolve("seed", args.seed, cfg, 0, int)
-    mode = _require(resolve("mode", args.mode, cfg, None), "--mode")
+    mode = _require(args.mode, "--mode")
     if args.from_csv:
-        series = _read_hit_series(args.from_csv, args.n_popular)
+        series = _read_hit_series(args.from_csv, args.csv_n_popular)
+    elif args.hit is None:
+        raise UsageError("need --hit values or --from-csv")
     else:
-        series = resolve("hit", args.hit, cfg, None, _floats)
-        if series is None:
-            raise UsageError("need --hit values or --from-csv")
-    rows = run_latency(
-        series,
-        mode,
-        samples=resolve("samples", args.samples, cfg, 1000, int),
-        seed=seed,
-    )
-    out = _out_path(args, "latency.csv")
-    write_latency_csv(rows, out)
+        series = args.hit
+    rows = run_latency(series, mode, seed=args.seed, **_given(samples=args.samples))
+    write_latency_csv(rows, args.out)
     mean = sum(r.mean_ms for r in rows) / len(rows)
-    print(f"wrote {out}: mode {mode}, mean {mean:.1f} ms over {len(rows)} hours")
+    print(f"wrote {args.out}: mode {mode}, mean {mean:.1f} ms over {len(rows)} hours")
     return 0
 
 
@@ -542,25 +451,18 @@ def _cmd_list_inspect(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    cfg = _load_cfg(args)
-    seed = resolve("seed", args.seed, cfg, 0, int)
-    out_dir = Path(args.out) if args.out else Path("plotdata")
+    seed = args.seed
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.universe is None:
-        args.universe = resolve("universe", None, cfg, 20_000, int)
-    if args.hours is None:
-        args.hours = resolve("hours", None, cfg, 12, int)
-    universe = _universe_from(args, cfg, seed)
-    trace_cfg = _trace_config(args, cfg, universe.config.size, seed)
+    universe = _universe(args)
+    trace_cfg = _trace_config(args, universe.config.size)
     trace = generate_trace(trace_cfg, universe)
 
-    n_values = resolve(
-        "n_popular", args.n_popular, cfg, [100, 1000, 5000, 10000], _ints
-    )
+    n_values = args.n_popular
     base = HitRatioConfig(
         n_popular=n_values[0],
-        max_votes_per_round=resolve("max_votes", args.max_votes, cfg, 20, int),
+        max_votes_per_round=args.max_votes,
         fast_start_hours=trace_cfg.hours,
         seed=seed,
     )
@@ -580,11 +482,10 @@ def _cmd_plotdata(args) -> int:
     miss = 1.0 - steady_hit
     vote_frac = sum(r.votes for r in tail) / max(1, sum(r.queries for r in tail))
 
-    collusions = [i / 20 for i in range(21)]
     curves = {
         mode: exposure_curve(
             mode_exposure_params(mode, miss_fraction=miss, vote_fraction=vote_frac),
-            collusions,
+            COLLUSION_GRID,
         )
         for mode in sorted(FALLBACK_RELAY_HOPS)
     }
@@ -641,53 +542,64 @@ def _cmd_plotdata(args) -> int:
 # -- argument wiring ---------------------------------------------------------------
 
 
-def _add_universe_flags(p) -> None:
-    p.add_argument("--universe", type=int, help="synthetic name-universe size")
-    p.add_argument("--lb-fraction", type=float)
-    p.add_argument("--cname-fraction", type=float)
+def _add_seed(p, default=0) -> None:
+    p.add_argument("--seed", type=int, default=default)
 
 
-def _add_trace_flags(p) -> None:
+def _add_config(p) -> None:
+    p.add_argument("--config", help="key=value file of defaults for these flags")
+
+
+def _add_universe_flags(p, universe=None, lb_fraction=0.02) -> None:
+    p.add_argument(
+        "--universe", type=int, default=universe, help="synthetic name-universe size"
+    )
+    p.add_argument("--lb-fraction", type=float, default=lb_fraction)
+    p.add_argument("--cname-fraction", type=float, default=0.05)
+
+
+def _add_trace_flags(p, hours=None) -> None:
     p.add_argument("--zipf", type=float, help="popularity exponent")
     p.add_argument("--clients", type=int)
     p.add_argument("--queries", type=int, help="queries per client-hour")
-    p.add_argument("--hours", type=int)
+    p.add_argument("--hours", type=int, default=hours)
     p.add_argument("--churn", type=float, help="rank permutation rate per day")
     p.add_argument("--start-ts", type=int)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--out", help="output path (file, or directory for plotdata)")
+def _command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(func=func, parser=p)
+    return p
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lluad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", parents=[common], help="mint a curve keypair")
-    p.set_defaults(func=_cmd_keygen)
+    p = _command(sub, "keygen", _cmd_keygen, help="mint a curve keypair")
+    _add_seed(p, default=None)
+    p.add_argument("--out", help="key file (default: stdout)")
 
-    p = sub.add_parser("server", parents=[common], help="run the list server daemon")
+    p = _command(sub, "server", _cmd_server, help="run the list server daemon")
+    _add_seed(p)
+    _add_config(p)
     p.add_argument("--registry", help="client credential file")
     p.add_argument("--key", help="server private scalar, hex")
     p.add_argument("--host")
-    p.add_argument("--port", type=int)
+    p.add_argument("--port", type=int, default=SERVER_PORT)
     p.add_argument("--upstream", help="recursive resolver host:port")
     _add_universe_flags(p)
     p.add_argument("--prepopulate", action="store_true")
     p.add_argument("--n-popular", type=int)
     p.add_argument("--t-refresh", type=int)
     p.add_argument("--quota", type=int)
-    p.add_argument("--max-votes", type=int)
     p.add_argument("--n-shuffle", type=int)
-    p.add_argument("--voting-rate", type=float)
     p.add_argument("--min-ttl", type=int)
-    p.add_argument("--fast-start", type=int)
     p.add_argument("--straggler-timeout", type=float)
-    p.set_defaults(func=_cmd_server)
 
-    p = sub.add_parser("client", parents=[common], help="run the resolver daemon")
+    p = _command(sub, "client", _cmd_client, help="run the resolver daemon")
+    _add_config(p)
     p.add_argument("--id")
     p.add_argument("--token")
     p.add_argument("--server", help="list server host:port")
@@ -702,21 +614,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quota", type=int)
     p.add_argument("--voting-rate", type=float)
     p.add_argument("--min-ttl", type=int)
-    p.set_defaults(func=_cmd_client)
 
     trace = sub.add_parser("trace", help="trace tools")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    p = trace_sub.add_parser("gen", parents=[common], help="write a synthetic trace")
-    _add_universe_flags(p)
+    p = _command(trace_sub, "gen", _cmd_trace_gen, help="write a synthetic trace")
+    _add_seed(p)
+    _add_config(p)
+    p.add_argument("--out", default="trace.csv")
+    _add_universe_flags(p, universe=100_000)
     _add_trace_flags(p)
-    p.set_defaults(func=_cmd_trace_gen)
 
     sim = sub.add_parser("sim", help="run experiments")
     sim_sub = sim.add_subparsers(dest="sim_command", required=True)
 
-    p = sim_sub.add_parser("hit-ratio", parents=[common])
-    p.add_argument("--n-popular", type=_ints, help="comma-separated list sizes")
-    _add_universe_flags(p)
+    p = _command(sim_sub, "hit-ratio", _cmd_sim_hit_ratio)
+    _add_seed(p)
+    _add_config(p)
+    p.add_argument("--out", default="hit_ratio.csv")
+    p.add_argument(
+        "--n-popular",
+        type=_ints,
+        default=[MaintenanceConfig.n_popular],
+        help="comma-separated list sizes",
+    )
+    _add_universe_flags(p, universe=100_000)
     _add_trace_flags(p)
     p.add_argument("--trace", help="replay this CSV instead of generating")
     p.add_argument("--voting-rate", type=float)
@@ -725,21 +646,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze-after", type=int, help="stop voting after this hour")
     p.add_argument("--voter-cap", type=int)
     p.add_argument("--browser-cache", action="store_true")
-    p.set_defaults(func=_cmd_sim_hit_ratio)
 
-    p = sim_sub.add_parser("exposure", parents=[common])
-    p.add_argument("--modes", help="comma-separated fallback modes")
-    p.add_argument("--miss-fraction", type=float)
-    p.add_argument("--vote-fraction", type=float)
+    p = _command(sim_sub, "exposure", _cmd_sim_exposure)
+    _add_config(p)
+    p.add_argument("--out", default="exposure.csv")
+    p.add_argument(
+        "--modes",
+        type=_words,
+        default=sorted(FALLBACK_RELAY_HOPS),
+        help="comma-separated fallback modes",
+    )
+    p.add_argument("--miss-fraction", type=float, default=0.056)
+    p.add_argument("--vote-fraction", type=float, default=0.157)
     p.add_argument("--overlap", type=float)
     p.add_argument("--fit-exposure", type=float, help="solve overlap for this rate at full collusion")
-    p.add_argument("--collusion", type=_floats, help="comma-separated fractions")
+    p.add_argument(
+        "--collusion",
+        type=_floats,
+        default=COLLUSION_GRID,
+        help="comma-separated fractions",
+    )
     p.add_argument("--voters", type=int, help="finite anonymity-set size")
     p.add_argument("--mix-hops", type=int)
-    p.set_defaults(func=_cmd_sim_exposure)
 
-    p = sim_sub.add_parser("bandwidth", parents=[common])
-    _add_universe_flags(p)
+    p = _command(sim_sub, "bandwidth", _cmd_sim_bandwidth)
+    _add_seed(p)
+    _add_config(p)
+    p.add_argument("--out", default="bandwidth.csv")
+    _add_universe_flags(p, universe=2000, lb_fraction=0.3)
     p.add_argument("--hours", type=int)
     p.add_argument("--clients", type=int)
     p.add_argument("--no-participate", action="store_true")
@@ -749,42 +683,67 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ttl-step", type=float)
     p.add_argument("--fallback", choices=sorted(FALLBACK_RELAY_HOPS))
     p.add_argument("--trace", help="drive fallback misses from this CSV")
-    p.set_defaults(func=_cmd_sim_bandwidth)
 
-    p = sim_sub.add_parser("latency", parents=[common])
+    p = _command(sim_sub, "latency", _cmd_sim_latency)
+    _add_seed(p)
+    _add_config(p)
+    p.add_argument("--out", default="latency.csv")
     p.add_argument("--mode")
     p.add_argument("--hit", type=_floats, help="comma-separated hourly hit ratios")
     p.add_argument("--from-csv", help="read hit ratios from a hit-ratio CSV")
-    p.add_argument("--n-popular", type=int, help="row filter for --from-csv")
+    p.add_argument(
+        "--n-popular", type=int, dest="csv_n_popular", help="row filter for --from-csv"
+    )
     p.add_argument("--samples", type=int)
-    p.set_defaults(func=_cmd_sim_latency)
 
     lst = sub.add_parser("list", help="list snapshot tools")
     lst_sub = lst.add_subparsers(dest="list_command", required=True)
-    p = lst_sub.add_parser("inspect", parents=[common])
+    p = _command(lst_sub, "inspect", _cmd_list_inspect)
+    p.add_argument("--out", help="report file (default: stdout)")
     p.add_argument("snapshot", help="serialized list file")
     p.add_argument("--max-nodes", type=int, default=48)
     p.add_argument("--max-groups", type=int, default=12)
-    p.set_defaults(func=_cmd_list_inspect)
 
-    p = sub.add_parser(
-        "plotdata", parents=[common], help="emit the full figure CSV batch"
-    )
-    _add_universe_flags(p)
-    _add_trace_flags(p)
-    p.add_argument("--n-popular", type=_ints)
-    p.add_argument("--max-votes", type=int)
-    p.set_defaults(func=_cmd_plotdata)
+    p = _command(sub, "plotdata", _cmd_plotdata, help="emit the full figure CSV batch")
+    _add_seed(p)
+    _add_config(p)
+    p.add_argument("--out", default="plotdata", help="output directory")
+    _add_universe_flags(p, universe=20_000)
+    _add_trace_flags(p, hours=12)
+    p.add_argument("--n-popular", type=_ints, default=[100, 1000, 5000, 10000])
+    p.add_argument("--max-votes", type=int, default=20)
 
     return parser
+
+
+def _config_defaults(p: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of `p`'s flags.
+
+    argparse converts a string default with the flag's `type` when the
+    flag is absent, so a bad value fails like a bad flag.  Keys with no
+    matching flag are ignored, so one file can serve both daemons;
+    switches and the FLAG_ONLY paths are set by flags alone."""
+    cfg = load_config(path)
+    settable = {
+        action.dest
+        for action in p._actions
+        if action.option_strings and action.nargs != 0 and action.dest not in FLAG_ONLY
+    }
+    p.set_defaults(**{key: value for key, value in cfg.items() if key in settable})
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            _config_defaults(args.parser, args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
         return int(exc.code or 0)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except UsageError as exc:

@@ -62,8 +62,8 @@ DIGEST_MEMORY_CAP = 4096
 
 # resolver paths a client can fall back to on a list miss, with the
 # number of intermediate relays each one routes through (used by the
-# simulation's exposure and latency models; only the zero-relay modes
-# plus `simulated` have live transports here)
+# simulation's exposure and latency models; only `plain`, `doh` and
+# `simulated` have live transports here)
 FALLBACK_RELAY_HOPS = {
     "plain": 0,
     "doh": 0,
@@ -173,43 +173,18 @@ class SimulatedFallback:
         self,
         resolver: Callable[[RecordKey], list[RecordAnswer] | None],
         ttl: int = 300,
-        latency: float = 0.0,
     ):
         self.resolver = resolver
         self.ttl = ttl
-        self.latency = latency
         self.queries = 0
 
     def forward(self, query: bytes) -> bytes:
         key, txid = parse_query(query)
         self.queries += 1
-        if self.latency > 0:
-            time.sleep(self.latency)
         answers = self.resolver(key)
         if answers is None:
             return build_response(txid, key, [], 0, rcode=RCODE_NXDOMAIN)
         return build_response(txid, key, list(answers), self.ttl)
-
-
-def make_fallback(mode: str, **kwargs):
-    """Build the live transport for a fallback mode.
-
-    The relay-based modes exist only as cost models for the simulator;
-    asking for a live transport for one is a configuration error.
-    """
-    if mode == "plain":
-        return PlainUdpFallback(kwargs["endpoint"], kwargs.get("timeout", 3.0))
-    if mode == "doh":
-        return DohFallback(kwargs["url"], kwargs.get("timeout", 5.0))
-    if mode == "simulated":
-        return SimulatedFallback(
-            kwargs["resolver"], kwargs.get("ttl", 300), kwargs.get("latency", 0.0)
-        )
-    if mode in FALLBACK_RELAY_HOPS:
-        raise NotImplementedError(
-            f"fallback mode {mode!r} is modeled in simulations only"
-        )
-    raise ValueError(f"unknown fallback mode {mode!r}")
 
 
 def _header_only_reply(query: bytes, rcode: int) -> bytes | None:

@@ -1,4 +1,4 @@
-"""Text configuration files and flag/file/default precedence.
+"""Text configuration files.
 
 The format is deliberately plain: one `key = value` per line, `#` starts
 a comment, blank lines are ignored.  Values stay strings until the
@@ -7,8 +7,6 @@ tools.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 
 class ConfigError(ValueError):
@@ -42,27 +40,6 @@ def load_config(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def resolve(
-    key: str,
-    flag_value,
-    config: Mapping[str, str],
-    default,
-    convert=None,
-):
-    """flags > config file > default; `convert` coerces config strings."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        raw = config[key]
-        if convert is None:
-            return raw
-        try:
-            return convert(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return default
-
-
 def parse_hostport(text: str, default_port: int) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep:
@@ -72,11 +49,3 @@ def parse_hostport(text: str, default_port: int) -> tuple[str, int]:
     except ValueError as exc:
         raise ConfigError(f"bad port in {text!r}") from exc
 
-
-def parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")

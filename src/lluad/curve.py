@@ -14,9 +14,10 @@ only on k mod L, and an x-only result is the same for k and -k.  So
 k = CRT(0 mod 8, s mod L), or 8L - k, whichever lies in that range.  A
 scalar that is already clamp-invariant goes through as it is.  When
 neither stand-in is in range (about 2^-125 of random scalars, but also
-small multiples of 8 such as 8 itself) the pure-Python Montgomery
-ladder ``ladder`` computes the product; it is also the reference the
-tests compare against.
+small multiples of 8 such as 8 itself), ``mult`` splits s mod L into two
+factors that both have stand-ins, c and s * c^-1 mod L, with c taken
+from a short fixed list of hash-derived constants, and runs both
+through X25519; s = 0 mod L gives the identity.
 
 The contract of ``mult(s, u)``:
 
@@ -25,11 +26,23 @@ The contract of ``mult(s, u)``:
 - exact on the prime-order subgroup for any s, which is all that honest
   traffic ever produces: the base point (u=9) generates that subgroup;
 - for a point outside the subgroup and a scalar that is not
-  clamp-invariant but has a stand-in, the product is taken with the
-  stand-in k (k = +-s mod L, k = 0 mod 8).  A curve point P = Q + T with
-  a torsion component T therefore yields x(s*Q): the torsion is
-  cleared.  A twist point yields x(k*P) on the twist.  The low-order
-  points yield 0.  ``decode_element`` already rejects the low-order list.
+  clamp-invariant, the product is taken with the stand-in k (k = +-s
+  mod L, k = 0 mod 8), or with the two stand-ins of a split scalar in
+  turn.  A curve point P = Q + T with a torsion component T therefore
+  yields x(s*Q): the torsion is cleared.  A twist point yields x(k*P)
+  on the twist.  The low-order points yield 0.  ``decode_element``
+  already rejects the low-order list.
+
+Twist points are not rejected on decode, and need not be.  The twist of
+curve25519 has order 4*p' with p' a large prime, and every scalar that
+reaches X25519 here is a multiple of 8, so k*P for a twist point P lies
+in the subgroup of order p' (or is the identity).  A peer who sends one
+learns k*P in a group of prime order about 2^253, where the discrete
+logarithm is as hard as on the curve itself: no small subgroup exists to
+leak k modulo a small factor.  Rejecting them would take a
+Legendre-symbol test on every decode, and every hop decodes each element
+twice (in ``derive_shared`` and again in ``blind``); one test costs more
+than a ``mult``.
 
 The identity is returned as 0; OpenSSL reports it by refusing an all-zero
 output.
@@ -37,6 +50,7 @@ output.
 
 from __future__ import annotations
 
+import hashlib
 import secrets
 from random import Random
 
@@ -50,8 +64,6 @@ GROUP_ORDER = 2**252 + 27742317777372353535851937790883648493
 BASE_U = 9
 ELEMENT_LEN = 32
 
-_P = FIELD_PRIME
-_A24 = 121665
 _CLAMP_LOW = 1 << 254
 _CLAMP_HIGH = 1 << 255
 _EIGHT_L = 8 * GROUP_ORDER
@@ -87,18 +99,21 @@ def _clamp_invariant(scalar: int) -> int | None:
     return None
 
 
-def mult(scalar: int, u: int) -> int:
-    """u-coordinate of scalar * (point with coordinate u).
+def _split_factor(i: int) -> int:
+    digest = hashlib.sha256(b"lluad curve split factor %d" % i).digest()
+    return int.from_bytes(digest, "little") % GROUP_ORDER
 
-    The scalar is not clamped; any value in [1, 2^255) is accepted.  See
-    the module docstring for which inputs are exact.  Returns 0 for the
-    identity.
-    """
-    if scalar <= 0 or scalar >= _CLAMP_HIGH:
-        raise ValueError("scalar out of range")
-    k = _clamp_invariant(scalar)
-    if k is None:
-        return ladder(scalar, u)
+
+# (stand-in of c, c^-1 mod L) for the factors a scalar with no stand-in
+# is split by; each c has a stand-in of its own
+_SPLITS = [
+    (_clamp_invariant(c), pow(c, -1, GROUP_ORDER))
+    for c in map(_split_factor, range(4))
+]
+
+
+def _x25519(k: int, u: int) -> int:
+    """X25519 of a clamp-invariant scalar k; 0 for the identity."""
     priv = X25519PrivateKey.from_private_bytes(k.to_bytes(ELEMENT_LEN, "little"))
     peer = X25519PublicKey.from_public_bytes(
         (u % FIELD_PRIME).to_bytes(ELEMENT_LEN, "little")
@@ -110,45 +125,25 @@ def mult(scalar: int, u: int) -> int:
     return int.from_bytes(shared, "little")
 
 
-def ladder(scalar: int, u: int) -> int:
-    """Montgomery ladder over the unclamped scalar, in plain Python.
+def mult(scalar: int, u: int) -> int:
+    """u-coordinate of scalar * (point with coordinate u).
 
-    The fallback for scalars with no clamp-invariant stand-in, and the
-    reference ``mult`` is tested against.  Not constant-time.  Returns 0
-    for the identity.
+    The scalar is not clamped; any value in [1, 2^255) is accepted.  See
+    the module docstring for which inputs are exact.  Returns 0 for the
+    identity.
     """
     if scalar <= 0 or scalar >= _CLAMP_HIGH:
         raise ValueError("scalar out of range")
-    x1 = u % FIELD_PRIME
-    x2, z2 = 1, 0
-    x3, z3 = x1, 1
-    swap = 0
-    for t in range(254, -1, -1):
-        bit = (scalar >> t) & 1
-        if swap ^ bit:
-            x2, x3 = x3, x2
-            z2, z3 = z3, z2
-        swap = bit
-        a = (x2 + z2) % _P
-        aa = a * a % _P
-        b = (x2 - z2) % _P
-        bb = b * b % _P
-        e = (aa - bb) % _P
-        c = (x3 + z3) % _P
-        d = (x3 - z3) % _P
-        da = d * a % _P
-        cb = c * b % _P
-        t0 = (da + cb) % _P
-        x3 = t0 * t0 % _P
-        t1 = (da - cb) % _P
-        z3 = x1 * (t1 * t1 % _P) % _P
-        x2 = aa * bb % _P
-        z2 = e * ((aa + _A24 * e) % _P) % _P
-    if swap:
-        x2, z2 = x3, z3
-    if z2 == 0:
+    k = _clamp_invariant(scalar)
+    if k is not None:
+        return _x25519(k, u)
+    if scalar % GROUP_ORDER == 0:
         return 0
-    return x2 * pow(z2, _P - 2, _P) % _P
+    for k_c, inv_c in _SPLITS:
+        k_rest = _clamp_invariant(scalar * inv_c % GROUP_ORDER)
+        if k_rest is not None:
+            return _x25519(k_rest, _x25519(k_c, u))
+    raise ArithmeticError("no split of the scalar has stand-ins")
 
 
 def mult_base(scalar: int) -> int:

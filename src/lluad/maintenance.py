@@ -12,6 +12,18 @@ Score model: one round of tallied votes folds into the running weight as
 where gap is the number of rounds since the record was last tallied; a
 record absent from a round simply decays, and the closed form above makes
 skipped rounds cheap (no per-round touch of idle records).
+
+Fixed tuning, shared by every deployment:
+
+- `WEIGHT_A`: the weight a of the newest round in the score above.
+- `SCORE_CAP_FACTOR`: the score board keeps at most this many times
+  `n_popular` scores, shedding the weakest first.
+- `LB_CHANGE_THRESHOLD`, `LB_CHANGE_WINDOW`: a record whose requeries
+  return this many distinct answer sets within this many seconds is
+  classified as load-balanced and gets a rotating pool.
+- `REQUERY_BACKOFF_BASE`, `REQUERY_BACKOFF_CAP`: after the n-th failed
+  requery in a row a record is retried base * 2^(n-1) seconds later,
+  never more than cap seconds later.
 """
 
 from __future__ import annotations
@@ -39,7 +51,6 @@ from .poplist import (
     apply_lb_update,
     apply_membership_update,
     build_list,
-    serialize,
 )
 
 
@@ -63,30 +74,23 @@ class Upstream(Protocol):
     def resolve(self, key: RecordKey) -> UpstreamAnswer: ...
 
 
+WEIGHT_A = 0.1
+SCORE_CAP_FACTOR = 4
+LB_CHANGE_THRESHOLD = 3
+LB_CHANGE_WINDOW = 600.0
+REQUERY_BACKOFF_BASE = 2.0
+REQUERY_BACKOFF_CAP = 300.0
+
+
 @dataclass(frozen=True)
 class MaintenanceConfig:
     n_popular: int = 25_000
     t_refresh: int = 3600
-    weight_a: float = 0.1
-    voting_rate: float = 0.3
-    max_votes_per_round: int = 10
     min_ttl: int = 60
-    fast_start_rounds: int = 18
-    lb_change_threshold: int = 3  # distinct answer sets ...
-    lb_change_window: float = 600.0  # ... within this many seconds
-    score_cap_factor: int = 4
-    requery_backoff_base: float = 2.0
-    requery_backoff_cap: float = 300.0
 
     def __post_init__(self):
         if self.n_popular <= 0 or self.t_refresh <= 0 or self.min_ttl <= 0:
             raise ValueError("sizes and intervals must be positive")
-        if not 0.0 < self.weight_a <= 1.0:
-            raise ValueError("weight_a must be in (0, 1]")
-        if not 0.0 <= self.voting_rate <= 1.0:
-            raise ValueError("voting_rate must be in [0, 1]")
-        if self.max_votes_per_round <= 0 or self.lb_change_threshold < 2:
-            raise ValueError("bad quota or change threshold")
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def update_score(
     prev: PopularityScore,
     occurrences: int,
     round_index: int,
-    weight_a: float = 0.1,
+    weight_a: float = WEIGHT_A,
 ) -> PopularityScore:
     """Fold one round's occurrence count into a score (closed-form decay
     for any skipped rounds in between)."""
@@ -118,8 +122,7 @@ class ScoreBoard:
     so forgotten records eventually drop."""
 
     def __init__(self, cfg: MaintenanceConfig):
-        self._cfg = cfg
-        self._cap = cfg.score_cap_factor * cfg.n_popular
+        self._cap = SCORE_CAP_FACTOR * cfg.n_popular
         self._scores: OrderedDict[RecordKey, PopularityScore] = OrderedDict()
 
     def __len__(self) -> int:
@@ -131,9 +134,7 @@ class ScoreBoard:
     def apply_round(self, round_index: int, tallies: Mapping[RecordKey, int]) -> None:
         for key, occurrences in tallies.items():
             prev = self._scores.get(key) or PopularityScore(key, 0.0, round_index - 1)
-            self._scores[key] = update_score(
-                prev, occurrences, round_index, self._cfg.weight_a
-            )
+            self._scores[key] = update_score(prev, occurrences, round_index)
         excess = len(self._scores) - self._cap
         if excess > 0:
             # shed the weakest scores, stalest first on ties; recency alone
@@ -142,7 +143,7 @@ class ScoreBoard:
                 excess,
                 self._scores.values(),
                 key=lambda s: (
-                    s.weighted * (1.0 - self._cfg.weight_a) ** (round_index - s.last_round),
+                    s.weighted * (1.0 - WEIGHT_A) ** (round_index - s.last_round),
                     s.last_round,
                     s.key.sort_key(),
                 ),
@@ -155,7 +156,7 @@ class ScoreBoard:
     ) -> list[RecordKey]:
         """Rank by effective score; ties keep incumbents, then fall back to
         canonical key order so the result is deterministic."""
-        decay = 1.0 - self._cfg.weight_a
+        decay = 1.0 - WEIGHT_A
         ranked = []
         for k, score in self._scores.items():
             eff = score.weighted * decay ** (round_index - score.last_round)
@@ -269,9 +270,6 @@ class Maintainer:
     @property
     def generation(self) -> int:
         return self.plist.generation
-
-    def snapshot(self, compress: bool = True) -> bytes:
-        return serialize(self.plist, compress=compress)
 
     def ingest_votes(self, keys: Iterable[RecordKey]) -> None:
         self._tallies.update(keys)
@@ -425,8 +423,7 @@ class Maintainer:
                 attempts = self._backoff.get(key, 0) + 1
                 self._backoff[key] = attempts
                 delay = min(
-                    self.cfg.requery_backoff_base * 2 ** (attempts - 1),
-                    self.cfg.requery_backoff_cap,
+                    REQUERY_BACKOFF_BASE * 2 ** (attempts - 1), REQUERY_BACKOFF_CAP
                 )
                 self.schedule.schedule(key, now + delay)
                 continue
@@ -497,7 +494,7 @@ class Maintainer:
         snapshot = frozenset(observed)
         if not history or history[-1][1] != snapshot:
             history.append((now, snapshot))
-        cutoff = now - self.cfg.lb_change_window
+        cutoff = now - LB_CHANGE_WINDOW
         while history and history[0][0] < cutoff:
             history.popleft()
 
@@ -508,9 +505,9 @@ class Maintainer:
 
     def _classify_lb(self, key: RecordKey, now: float) -> bool:
         history = self._change_history.get(key, ())
-        cutoff = now - self.cfg.lb_change_window
+        cutoff = now - LB_CHANGE_WINDOW
         distinct = {snap for when, snap in history if when >= cutoff}
-        return len(distinct) >= self.cfg.lb_change_threshold
+        return len(distinct) >= LB_CHANGE_THRESHOLD
 
     def _queue_rotation(
         self, key: RecordKey, record: RecordDef, selected: bytes

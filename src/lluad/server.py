@@ -20,7 +20,6 @@ import ssl
 import threading
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import wire
 from .maintenance import Maintainer, MembershipUpdate
@@ -236,7 +235,6 @@ class LluadServer:
         )
         self.report_log = ReportLog()
         self.round_index = 0
-        self.rounds_run = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -463,17 +461,16 @@ class LluadServer:
             with self._state_lock:
                 self.maintainer.ingest_votes(result.tally.elements())
                 self.round_index += 1
-                self.rounds_run += 1
             return result
 
     # -- wall-clock driver ----------------------------------------------------
 
-    def run_forever(self, t_refresh: float, poll_interval: float = 1.0) -> None:
+    def run_forever(self, t_refresh: float) -> None:
         """Simple scheduler for operator use: rounds and refreshes at
-        every t_refresh boundary, requeries every poll interval."""
+        every t_refresh boundary, requeries every second."""
         next_refresh = time.time() + t_refresh
         while not self._stopping:
-            time.sleep(poll_interval)
+            time.sleep(1.0)
             now = time.time()
             self.trigger_ttl(now)
             if now >= next_refresh:

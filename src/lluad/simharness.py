@@ -34,7 +34,6 @@ from .maintenance import (
     MaintenanceConfig,
     Maintainer,
     MembershipUpdate,
-    UpstreamFailure,
 )
 from .poplist import lookup, record_count
 from .traces import QueryTrace, SyntheticUniverse
@@ -101,11 +100,7 @@ def run_hit_ratio(
     rng = Random(("hit-ratio", config.seed).__repr__())
     now = [float(trace.events[0].timestamp)]
     maintainer = Maintainer(
-        MaintenanceConfig(
-            n_popular=config.n_popular,
-            voting_rate=config.voting_rate,
-            max_votes_per_round=config.max_votes_per_round,
-        ),
+        MaintenanceConfig(n_popular=config.n_popular),
         universe.upstream(clock=lambda: now[0]),
         rng=Random(("maintainer", config.seed).__repr__()),
     )
@@ -266,6 +261,8 @@ DEFAULT_FALLBACK_QUERY_BYTES = {
     "dohot": 1660,
     "simulated": 0,
 }
+# request+response wire estimate per server-side TTL requery
+UPSTREAM_BYTES_PER_QUERY = 180
 
 
 @dataclass(frozen=True)
@@ -277,9 +274,7 @@ class BandwidthConfig:
     n_shuffle: int = 10
     ttl_step: float = 60.0
     n_popular: int = 25000
-    min_ttl: int = 60
     fallback_mode: str = "doh"
-    upstream_bytes_per_query: int = 180
     seed: int = 0
 
 
@@ -360,7 +355,7 @@ def run_bandwidth(
     Shuffle duty counts each stage's batch relay in both directions,
     reported population-wide.  Misses from `trace` are charged the
     per-query fallback cost of the configured mode; the server side pays
-    `upstream_bytes_per_query` per TTL requery.
+    `UPSTREAM_BYTES_PER_QUERY` per TTL requery.
     """
     if config.fallback_mode not in DEFAULT_FALLBACK_QUERY_BYTES:
         raise ValueError(f"unknown fallback mode: {config.fallback_mode}")
@@ -374,7 +369,7 @@ def run_bandwidth(
             return inner.resolve(key)
 
     maintainer = Maintainer(
-        MaintenanceConfig(n_popular=config.n_popular, min_ttl=config.min_ttl),
+        MaintenanceConfig(n_popular=config.n_popular),
         _CountingUpstream(),
         rng=Random(("bandwidth", config.seed).__repr__()),
     )
@@ -382,7 +377,7 @@ def run_bandwidth(
     maintainer.ingest_votes(universe.keys)
     maintainer.run_refresh(now=0.0)
     counter["queries"] = 0
-    snapshot = _framed(encode_list_snapshot(maintainer.plist, compress=True))
+    snapshot = _framed(encode_list_snapshot(maintainer.plist))
 
     events_by_hour: dict[int, list] = {}
     if trace is not None:
@@ -445,7 +440,7 @@ def run_bandwidth(
                 shuffle_duty_bytes=duty,
                 fallback_bytes=fallback,
                 upstream_queries=requeries,
-                upstream_bytes=requeries * config.upstream_bytes_per_query,
+                upstream_bytes=requeries * UPSTREAM_BYTES_PER_QUERY,
             )
         )
     return BandwidthReport(hours=rows, clients=config.clients)

@@ -6,12 +6,23 @@ shape: a Zipf-distributed record universe with a head-heavy share of
 actively load-balanced records, CNAME indirections, per-day popularity
 churn, and per-client query streams.  Everything is deterministic given
 the seed.
+
+Fixed shape of every synthetic universe:
+
+- `AAAA_FRACTION`: share of AAAA records among plain records in the
+  popular head (the top 30 % of ranks); the rest are A records.
+- `TAIL_AAAA_FRACTION`: the same share in the long tail below it.
+- `LB_TTL`: TTL in seconds of load-balanced records.
+- `PLAIN_TTL`: TTL in seconds of CNAME aliases.  Plain records draw
+  theirs from 1, 2, 4 or 12 hours.
+- `LB_ROTATION`: seconds between moves of a load-balanced record's
+  active answer.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
@@ -33,6 +44,12 @@ _LB_REGIONS = [
     "sa-east-1", "af-south-1", "ap-northeast-2",
 ]
 _LB_ROLES = ["media-cache", "edge-relay", "balancer", "ingest-front", "tls-term"]
+
+AAAA_FRACTION = 0.4
+TAIL_AAAA_FRACTION = 0.1
+LB_TTL = 60
+PLAIN_TTL = 14400
+LB_ROTATION = 60
 
 
 @dataclass(frozen=True)
@@ -131,11 +148,6 @@ class UniverseConfig:
     seed: int = 0
     lb_fraction: float = 0.0  # of all records; placed in the popular head
     cname_fraction: float = 0.0
-    aaaa_fraction: float = 0.4
-    tail_aaaa_fraction: float = 0.1
-    lb_ttl: int = 60
-    plain_ttl: int = 14400
-    lb_rotation: int = 60  # seconds between active-answer moves
 
 
 def _b36(n: int) -> str:
@@ -231,7 +243,7 @@ class SyntheticUniverse:
                 self.kind.append("lb")
                 self._answers.append(None)
                 self._pools[rank] = pool
-                self._ttl.append(config.lb_ttl)
+                self._ttl.append(LB_TTL)
             elif rank in cname_ranks and plain_ranks:
                 target = rng.choice(plain_ranks)
                 name = fresh_name(
@@ -243,11 +255,11 @@ class SyntheticUniverse:
                 self.kind.append("cname")
                 self._answers.append(None)
                 self._cname_target[rank] = target
-                self._ttl.append(config.plain_ttl)
+                self._ttl.append(PLAIN_TTL)
             elif rank < head_cut or not parent_pool:
                 rtype = (
                     RecordType.AAAA
-                    if rng.random() < config.aaaa_fraction
+                    if rng.random() < AAAA_FRACTION
                     else RecordType.A
                 )
                 depth = rng.random()
@@ -277,7 +289,7 @@ class SyntheticUniverse:
             else:
                 rtype = (
                     RecordType.AAAA
-                    if rng.random() < config.tail_aaaa_fraction
+                    if rng.random() < TAIL_AAAA_FRACTION
                     else RecordType.A
                 )
                 # quadratic bias: tail leaves cluster under popular parents
@@ -301,7 +313,7 @@ class SyntheticUniverse:
 
     def active_answer(self, rank: int, now: float) -> bytes:
         pool = self._pools[rank]
-        return pool[(int(now) // self.config.lb_rotation) % len(pool)]
+        return pool[(int(now) // LB_ROTATION) % len(pool)]
 
     def resolve(self, key: RecordKey, now: float = 0.0) -> UpstreamAnswer:
         """Upstream view: one level of resolution at time `now`."""

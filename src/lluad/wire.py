@@ -151,10 +151,10 @@ def decode_list_request(body: bytes) -> tuple[str, str]:
         raise FrameError("credentials are not valid utf-8") from exc
 
 
-def encode_list_snapshot(plist: PopularityList, compress: bool = True) -> bytes:
+def encode_list_snapshot(plist: PopularityList) -> bytes:
     # the list format itself carries no generation, so the snapshot
     # frame prefixes it
-    return plist.generation.to_bytes(8, "big") + serialize(plist, compress=compress)
+    return plist.generation.to_bytes(8, "big") + serialize(plist, compress=True)
 
 
 def decode_list_snapshot(body: bytes) -> PopularityList:

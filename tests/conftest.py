@@ -1,8 +1,10 @@
-"""Shared helpers: random but structurally valid record sets, and a flat
-dict-based resolver used as an oracle against the tree lookup."""
+"""Shared helpers: random but structurally valid record sets, a flat
+dict-based resolver used as an oracle against the tree lookup, and a
+pure-Python Montgomery ladder used as an oracle for the curve."""
 
 import random
 
+from lluad.curve import FIELD_PRIME
 from lluad.dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
 from lluad.poplist import RecordDef
 
@@ -83,3 +85,45 @@ def flat_resolve(defs: list[RecordDef], key: RecordKey, limit: int = 16):
         answers.append(RecordAnswer(RecordType.CNAME, via.answer))
         name = via.cname_target
     return None
+
+
+def ladder(scalar: int, u: int) -> int:
+    """Montgomery ladder over the unclamped scalar, in plain Python.
+
+    The reference ``curve.mult`` is tested against.  Not constant-time.
+    Returns 0 for the identity.
+    """
+    if scalar <= 0 or scalar >= 1 << 255:
+        raise ValueError("scalar out of range")
+    p = FIELD_PRIME
+    a24 = 121665
+    x1 = u % p
+    x2, z2 = 1, 0
+    x3, z3 = x1, 1
+    swap = 0
+    for t in range(254, -1, -1):
+        bit = (scalar >> t) & 1
+        if swap ^ bit:
+            x2, x3 = x3, x2
+            z2, z3 = z3, z2
+        swap = bit
+        a = (x2 + z2) % p
+        aa = a * a % p
+        b = (x2 - z2) % p
+        bb = b * b % p
+        e = (aa - bb) % p
+        c = (x3 + z3) % p
+        d = (x3 - z3) % p
+        da = d * a % p
+        cb = c * b % p
+        t0 = (da + cb) % p
+        x3 = t0 * t0 % p
+        t1 = (da - cb) % p
+        z3 = x1 * (t1 * t1 % p) % p
+        x2 = aa * bb % p
+        z2 = e * ((aa + a24 * e) % p) % p
+    if swap:
+        x2, z2 = x3, z3
+    if z2 == 0:
+        return 0
+    return x2 * pow(z2, p - 2, p) % p

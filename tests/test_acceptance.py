@@ -576,7 +576,7 @@ def test_criterion_11_update_stream_converges_to_snapshot():
     )
     now = [0.0]
     maintainer = Maintainer(
-        MaintenanceConfig(n_popular=600, t_refresh=3600, max_votes_per_round=50),
+        MaintenanceConfig(n_popular=600, t_refresh=3600),
         universe.upstream(clock=lambda: now[0]),
         rng=random.Random(("maint", 13).__repr__()),
     )

@@ -109,6 +109,64 @@ def test_config_file_feeds_defaults(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("server", "--max-votes", "5"),
+        ("server", "--voting-rate", "0.5"),
+        ("server", "--fast-start", "4"),
+        ("server", "--out", "x"),
+        ("client", "--seed", "1"),
+        ("client", "--out", "x"),
+        ("keygen", "--config", "x"),
+        ("sim", "exposure", "--seed", "1"),
+        ("list", "inspect", "snap.bin", "--seed", "1"),
+        ("list", "inspect", "snap.bin", "--config", "x"),
+    ],
+)
+def test_flags_nothing_reads_are_rejected(argv, capsys):
+    assert run(*argv) == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_bad_config_value_names_the_setting(tmp_path, capsys):
+    conf = tmp_path / "lluad.conf"
+    conf.write_text("quota = many\n")
+    out = tmp_path / "b.csv"
+    rc = run("sim", "bandwidth", "--config", str(conf), "--out", str(out))
+    assert rc != 0
+    assert "quota" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_without_a_flag_are_ignored(tmp_path, capsys):
+    plain = tmp_path / "plain.conf"
+    plain.write_text("clients = 3\nhours = 1\nqueries = 4\nuniverse = 200\n")
+    mixed = tmp_path / "mixed.conf"
+    # server and client keys trace gen has no flag for, even malformed ones
+    mixed.write_text(plain.read_text() + "quota = many\nvoting_rate = 0.5\n")
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert run("trace", "gen", "--config", str(plain), "--out", str(a)) == 0
+    assert run("trace", "gen", "--config", str(mixed), "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+
+
+def test_config_cannot_set_a_switch(tmp_path, capsys):
+    conf = tmp_path / "lluad.conf"
+    conf.write_text("browser_cache = 1\n")
+    plain, argv = hit_ratio_args(tmp_path, "plain.csv")
+    assert run(*argv) == 0
+    configured, argv = hit_ratio_args(tmp_path, "configured.csv")
+    assert run(*argv, "--config", str(conf)) == 0
+    cached, argv = hit_ratio_args(tmp_path, "cached.csv")
+    assert run(*argv, "--browser-cache") == 0
+    assert configured.read_bytes() == plain.read_bytes()
+    assert cached.read_bytes() != plain.read_bytes()
+    capsys.readouterr()
+
+
 # -- sim subcommands ---------------------------------------------------------------
 
 
@@ -151,6 +209,13 @@ def test_exposure_fit_anchor(tmp_path, capsys):
     full = {r[0]: float(r[2]) for r in rows[1:] if r[1] == "1.000000"}
     assert full["dohot"] == pytest.approx(0.205, abs=1e-9)
     assert full["doh"] == pytest.approx(0.205, abs=1e-9)  # same at c=1
+    capsys.readouterr()
+
+
+def test_exposure_modes_flag_takes_a_list(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert run("sim", "exposure", "--modes", "doh,plain", "--out", str(out)) == 0
+    assert {row[0] for row in read_rows(out)[1:]} == {"doh", "plain"}
     capsys.readouterr()
 
 

@@ -1,13 +1,6 @@
 import pytest
 
-from lluad.config import (
-    ConfigError,
-    load_config,
-    parse_bool,
-    parse_config,
-    parse_hostport,
-    resolve,
-)
+from lluad.config import ConfigError, load_config, parse_config, parse_hostport
 
 
 def test_parse_config_basics():
@@ -36,28 +29,9 @@ def test_load_config(tmp_path):
     assert load_config(str(path)) == {"quota": "4"}
 
 
-def test_resolve_precedence():
-    cfg = {"quota": "7"}
-    assert resolve("quota", 3, cfg, 10, int) == 3  # flag wins
-    assert resolve("quota", None, cfg, 10, int) == 7  # then config
-    assert resolve("quota", None, {}, 10, int) == 10  # then default
-    assert resolve("host", None, {"host": "::1"}, "x") == "::1"  # no convert
-
-
-def test_resolve_bad_config_value():
-    with pytest.raises(ConfigError, match="quota"):
-        resolve("quota", None, {"quota": "many"}, 10, int)
-
-
 def test_parse_hostport():
     assert parse_hostport("10.0.0.1:53", 5853) == ("10.0.0.1", 53)
     assert parse_hostport("10.0.0.1", 5853) == ("10.0.0.1", 5853)
     with pytest.raises(ConfigError):
         parse_hostport("host:notaport", 53)
 
-
-def test_parse_bool():
-    assert parse_bool("Yes") is True
-    assert parse_bool("0") is False
-    with pytest.raises(ValueError):
-        parse_bool("maybe")

@@ -3,9 +3,10 @@
 The widely deployed X25519 implementations clamp scalars, so they can only
 serve as an oracle when we clamp the scalar ourselves before comparing.
 ``mult`` runs on such an implementation through a clamp-invariant stand-in
-scalar, so it is also compared with the pure-Python ``ladder`` over
-unclamped scalars, including those that take the ladder fallback and points
-outside the prime-order subgroup.  The properties the mix network relies
+scalar, so it is also compared with the pure-Python ``ladder`` oracle
+(``conftest``) over unclamped scalars, including those with no stand-in
+that ``mult`` splits into two factors, and points outside the prime-order
+subgroup.  The properties the mix network relies
 on (prime subgroup order, multiplicative composition of unclamped scalars)
 are asserted directly.
 """
@@ -24,6 +25,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
+from conftest import ladder
 from lluad.curve import (
     BASE_U,
     FIELD_PRIME,
@@ -32,7 +34,6 @@ from lluad.curve import (
     InvalidElement,
     decode_element,
     encode_element,
-    ladder,
     mult,
     mult_base,
     random_scalar,
@@ -165,7 +166,7 @@ SCALARS = st.integers(min_value=1, max_value=(1 << 255) - 1)
 SUBGROUP_SCALARS = st.integers(min_value=1, max_value=GROUP_ORDER - 1)
 
 # Scalars with no clamp-invariant stand-in: k = CRT(0 mod 8, s mod L) and
-# 8L - k both fall outside [2^254, 2^255), so mult takes the ladder.
+# 8L - k both fall outside [2^254, 2^255), so mult splits them in two.
 FALLBACK_SCALARS = [8, 16, 24, 64, 8 * 1000, GROUP_ORDER - 8, GROUP_ORDER + 8]
 
 

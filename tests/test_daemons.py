@@ -8,13 +8,13 @@ from random import Random
 import pytest
 
 from lluad import wire
+from lluad.cli import main as cli_main
 from lluad.client import (
     FALLBACK_RELAY_HOPS,
     AuthRejected,
     LluadClient,
     SimulatedFallback,
     VoteBuffer,
-    make_fallback,
 )
 from lluad.curve import encode_element, mult_base, random_scalar
 from lluad.dnsmsg import (
@@ -422,12 +422,14 @@ def test_vote_buffer_sampling_rate_converges():
     assert abs(fraction - 0.3) < 0.02
 
 
-def test_fallback_modes_without_live_transport_are_rejected():
-    for mode in ("dnscrypt", "anon-dnscrypt", "dohot"):
-        with pytest.raises(NotImplementedError):
-            make_fallback(mode)
-    with pytest.raises(ValueError):
-        make_fallback("carrier-pigeon")
+def test_fallback_modes_without_live_transport_are_rejected(capsys):
+    argv = [
+        "client", "--id", "c0", "--token", "t0", "--server", "127.0.0.1:9",
+        "--server-pub", "00" * 32, "--registry", "registry.txt",
+    ]
+    for mode in ("dnscrypt", "anon-dnscrypt", "dohot", "carrier-pigeon"):
+        assert cli_main([*argv, "--fallback", mode]) == 2
+        assert "--fallback" in capsys.readouterr().err
     assert FALLBACK_RELAY_HOPS["anon-dnscrypt"] == 1
     assert FALLBACK_RELAY_HOPS["dohot"] == 3
     assert sorted(FALLBACK_RELAY_HOPS) == [

@@ -32,7 +32,7 @@ def key(text, rtype=RecordType.A):
 
 
 def cfg(**overrides):
-    base = dict(n_popular=10, t_refresh=3600, min_ttl=60, lb_change_window=600.0)
+    base = dict(n_popular=10, t_refresh=3600, min_ttl=60)
     base.update(overrides)
     return MaintenanceConfig(**base)
 
@@ -128,7 +128,7 @@ def test_scoreboard_ranking_and_tie_breaks():
 
 
 def test_scoreboard_lru_cap_evicts_least_recently_voted():
-    board = ScoreBoard(cfg(n_popular=2, score_cap_factor=2))  # cap 4
+    board = ScoreBoard(cfg(n_popular=1))  # cap 4
     board.apply_round(1, {key(f"k{i}.example"): 1 for i in range(4)})
     board.apply_round(2, {key("k0.example"): 1, key("new.example"): 1})
     assert len(board) == 4
