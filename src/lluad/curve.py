@@ -19,6 +19,14 @@ factors that both have stand-ins, c and s * c^-1 mod L, with c taken
 from a short fixed list of hash-derived constants, and runs both
 through X25519; s = 0 mod L gives the identity.
 
+OpenSSL computes k*B whenever it builds a private key object, so a
+product costs a key build plus an exchange.  ``Key(s)`` builds the key
+of s's stand-in once: ``mult(Key(s), u)`` is then one exchange, with the
+same exactness as ``mult(s, u)``, and for the base point (any u with
+u = 9 mod p) ``mult`` of a key or an int reads the key's public half,
+which is s*B, instead of running an exchange.  A scalar with no stand-in
+keeps no key object and takes the split path.
+
 The contract of ``mult(s, u)``:
 
 - exact for any point when s is clamp-invariant, so RFC 7748 vectors and
@@ -40,9 +48,8 @@ in the subgroup of order p' (or is the identity).  A peer who sends one
 learns k*P in a group of prime order about 2^253, where the discrete
 logarithm is as hard as on the curve itself: no small subgroup exists to
 leak k modulo a small factor.  Rejecting them would take a
-Legendre-symbol test on every decode, and every hop decodes each element
-twice (in ``derive_shared`` and again in ``blind``); one test costs more
-than a ``mult``.
+Legendre-symbol test on every decode, and one test costs more than a
+``mult``.
 
 The identity is returned as 0; OpenSSL reports it by refusing an all-zero
 output.
@@ -99,25 +106,45 @@ def _clamp_invariant(scalar: int) -> int | None:
     return None
 
 
+class Key:
+    """A scalar with the X25519 key of its stand-in, built once.
+
+    ``mult(Key(s), u) == mult(s, u)`` for every s and u, and the key's
+    public half is ``mult_base(s)``.  Out-of-range scalars raise
+    ValueError, as in ``mult``.
+    """
+
+    __slots__ = ("scalar", "_priv")
+
+    def __init__(self, scalar: int):
+        if scalar <= 0 or scalar >= _CLAMP_HIGH:
+            raise ValueError("scalar out of range")
+        self.scalar = scalar
+        k = _clamp_invariant(scalar)
+        self._priv = (
+            None
+            if k is None
+            else X25519PrivateKey.from_private_bytes(k.to_bytes(ELEMENT_LEN, "little"))
+        )
+
+
 def _split_factor(i: int) -> int:
     digest = hashlib.sha256(b"lluad curve split factor %d" % i).digest()
     return int.from_bytes(digest, "little") % GROUP_ORDER
 
 
-# (stand-in of c, c^-1 mod L) for the factors a scalar with no stand-in
-# is split by; each c has a stand-in of its own
-_SPLITS = [
-    (_clamp_invariant(c), pow(c, -1, GROUP_ORDER))
-    for c in map(_split_factor, range(4))
-]
+# (key of c, c^-1 mod L) for the factors a scalar with no stand-in is
+# split by; each c has a stand-in of its own
+_SPLITS = [(Key(c), pow(c, -1, GROUP_ORDER)) for c in map(_split_factor, range(4))]
 
 
-def _x25519(k: int, u: int) -> int:
-    """X25519 of a clamp-invariant scalar k; 0 for the identity."""
-    priv = X25519PrivateKey.from_private_bytes(k.to_bytes(ELEMENT_LEN, "little"))
-    peer = X25519PublicKey.from_public_bytes(
-        (u % FIELD_PRIME).to_bytes(ELEMENT_LEN, "little")
-    )
+def _x25519(priv: X25519PrivateKey, u: int) -> int:
+    """X25519 of a clamp-invariant key; the public half for the base
+    point; 0 for the identity."""
+    u %= FIELD_PRIME
+    if u == BASE_U:
+        return int.from_bytes(priv.public_key().public_bytes_raw(), "little")
+    peer = X25519PublicKey.from_public_bytes(u.to_bytes(ELEMENT_LEN, "little"))
     try:
         shared = priv.exchange(peer)
     except ValueError:  # OpenSSL refuses the all-zero output: the identity
@@ -125,29 +152,27 @@ def _x25519(k: int, u: int) -> int:
     return int.from_bytes(shared, "little")
 
 
-def mult(scalar: int, u: int) -> int:
+def mult(scalar: int | Key, u: int) -> int:
     """u-coordinate of scalar * (point with coordinate u).
 
-    The scalar is not clamped; any value in [1, 2^255) is accepted.  See
-    the module docstring for which inputs are exact.  Returns 0 for the
-    identity.
+    The scalar is not clamped; any value in [1, 2^255) is accepted, as a
+    plain int or as a ``Key``.  See the module docstring for which inputs
+    are exact.  Returns 0 for the identity.
     """
-    if scalar <= 0 or scalar >= _CLAMP_HIGH:
-        raise ValueError("scalar out of range")
-    k = _clamp_invariant(scalar)
-    if k is not None:
-        return _x25519(k, u)
-    if scalar % GROUP_ORDER == 0:
+    key = scalar if isinstance(scalar, Key) else Key(scalar)
+    if key._priv is not None:
+        return _x25519(key._priv, u)
+    if key.scalar % GROUP_ORDER == 0:
         return 0
-    for k_c, inv_c in _SPLITS:
-        k_rest = _clamp_invariant(scalar * inv_c % GROUP_ORDER)
-        if k_rest is not None:
-            return _x25519(k_rest, _x25519(k_c, u))
+    for key_c, inv_c in _SPLITS:
+        rest = Key(key.scalar * inv_c % GROUP_ORDER)
+        if rest._priv is not None:
+            return _x25519(rest._priv, _x25519(key_c._priv, u))
     raise ArithmeticError("no split of the scalar has stand-ins")
 
 
-def mult_base(scalar: int) -> int:
-    """u-coordinate of scalar * base point."""
+def mult_base(scalar: int | Key) -> int:
+    """u-coordinate of scalar * base point: a key's public half."""
     return mult(scalar, BASE_U)
 
 

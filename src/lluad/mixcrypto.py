@@ -10,7 +10,10 @@ A relay node holding private key k derives s = KDF(DH(p, k)) and from s
 alone computes its payload layer, the next hop hash, and the blinding
 factor for p.  The sender can precompute every per-hop value because the
 blinded element seen by hop i equals (x0 * b_1 * ... * b_{i-1}) * B, so
-s_i = DH(that accumulated scalar, node i's public key).
+s_i = DH(that accumulated scalar, node i's public key).  The sender keeps
+that running scalar as a ``curve.Key``: p_i is the key's public half, and
+the same key then serves hop i's DH.  Relays and the round server build
+their long-lived key once, not once per packet.
 
 All hashes are SHA-256 under per-use domain-separation prefixes.  The
 payload cipher is a 32-byte XOR keystream; votes and acks use distinct
@@ -27,6 +30,7 @@ from random import Random
 from .curve import (
     GROUP_ORDER,
     InvalidElement,
+    Key,
     decode_element,
     encode_element,
     mult,
@@ -59,17 +63,19 @@ def _t_bytes(t_timestamp: int) -> bytes:
     return t_timestamp.to_bytes(8, "big")
 
 
-def derive_shared(key_element: bytes, k_priv: int) -> bytes:
+def _kdf(shared: int) -> bytes:
+    if shared == 0:
+        raise InvalidElement("shared secret is the identity")
+    return _sha(_PREFIX_KDF, encode_element(shared))
+
+
+def derive_shared(key_element: bytes, k_priv: int | Key) -> bytes:
     """Shared symmetric key between a packet's element and a node key.
 
     Raises InvalidElement for malformed or low-order elements and for the
     (unreachable with valid inputs) identity result.
     """
-    u = decode_element(key_element)
-    shared = mult(k_priv, u)
-    if shared == 0:
-        raise InvalidElement("shared secret is the identity")
-    return _sha(_PREFIX_KDF, encode_element(shared))
+    return _kdf(mult(k_priv, decode_element(key_element)))
 
 
 def blind_factor(key_element: bytes, sym_key: bytes) -> int:
@@ -103,17 +109,16 @@ def keystream(sym_key: bytes, role: bytes, t_timestamp: int) -> bytes:
     return _sha(_PREFIX_ENC, role, _t_bytes(t_timestamp), sym_key)
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 def peel_layer(
     payload: bytes, sym_key: bytes, t_timestamp: int, role: bytes = ROLE_VOTE
 ) -> bytes:
     """Remove (or, XOR being its own inverse, add) one payload layer."""
     if len(payload) != PAYLOAD_LEN:
         raise ValueError("payload must be 32 bytes")
-    return _xor(payload, keystream(sym_key, role, t_timestamp))
+    stream = keystream(sym_key, role, t_timestamp)
+    return (int.from_bytes(payload, "big") ^ int.from_bytes(stream, "big")).to_bytes(
+        PAYLOAD_LEN, "big"
+    )
 
 
 def layer_encrypt(
@@ -139,7 +144,7 @@ def transform_packet(
     key_element: bytes,
     hop_hash: bytes,
     payload: bytes,
-    k_priv: int,
+    k_priv: int | Key,
     t_timestamp: int,
 ) -> tuple[bytes, bytes, bytes, bytes]:
     """One relay hop: returns (next element, next hash, peeled payload, s).
@@ -147,8 +152,9 @@ def transform_packet(
     The shared key is returned so the caller can remember the flow for the
     ack path.
     """
-    s = derive_shared(key_element, k_priv)
-    out_p = blind(key_element, s)
+    u = decode_element(key_element)
+    s = _kdf(mult(k_priv, u))
+    out_p = encode_element(mult(blind_factor(key_element, s), u))
     out_h = next_hash(hop_hash, s, t_timestamp)
     out_d = peel_layer(payload, s, t_timestamp, ROLE_VOTE)
     return out_p, out_h, out_d, s
@@ -219,7 +225,7 @@ class PathPlanBuilder:
         entry_hash: bytes | None = None,
     ):
         self.t_timestamp = t_timestamp
-        self._accum = random_scalar(rng)
+        self._accum = Key(random_scalar(rng))
         self._element = encode_element(mult_base(self._accum))
         if entry_hash is None:
             entry_hash = rng.randbytes(NEXT_HOP_HASH_LEN) if rng else secrets.token_bytes(
@@ -247,8 +253,9 @@ class PathPlanBuilder:
             )
         )
         self._hash = next_hash(self._hash, s, self.t_timestamp)
-        self._element = encode_element(mult(b, decode_element(self._element)))
-        self._accum = self._accum * b % GROUP_ORDER
+        # p_{i+1} = (accum * b) * B: the public half of the next hop's key
+        self._accum = Key(self._accum.scalar * b % GROUP_ORDER)
+        self._element = encode_element(mult_base(self._accum))
 
     def finish(self) -> SenderPathPlan:
         if not self._hops:

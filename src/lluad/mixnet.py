@@ -19,7 +19,7 @@ from functools import cached_property
 from random import Random
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .curve import InvalidElement
+from .curve import InvalidElement, Key
 from .dnsmsg import DomainName, RecordKey, RecordType, UnsupportedType
 from .mixcrypto import (
     KEY_ELEMENT_LEN,
@@ -432,7 +432,7 @@ class ShufflerNode:
 
     def __init__(self, shuffler_index: int, k_priv: int, rng: Random | None = None):
         self.shuffler_index = shuffler_index
-        self._k_priv = k_priv
+        self._key = Key(k_priv)
         self._rng = rng or Random()
         self._flow_stack: list[dict[tuple[bytes, bytes], _FlowEntry]] = []
         self.invalid_packets = 0
@@ -455,7 +455,7 @@ class ShufflerNode:
         for pkt in batch:
             try:
                 p_next, h_next, d_next, s = transform_packet(
-                    pkt.p, pkt.h, pkt.d, self._k_priv, t_timestamp
+                    pkt.p, pkt.h, pkt.d, self._key, t_timestamp
                 )
             except InvalidElement:
                 self.invalid_packets += 1
@@ -625,7 +625,7 @@ class RoundServer:
     ):
         if quota < 1:
             raise ValueError("quota must be positive")
-        self._k_priv = k_priv
+        self._key = Key(k_priv)
         self.quota = quota
         self.transport = transport
         self.digest_table: dict[bytes, RecordKey] = {
@@ -690,7 +690,7 @@ class RoundServer:
         exit_drops = 0
         for pkt in final_packets:
             try:
-                s = derive_shared(pkt.p, self._k_priv)
+                s = derive_shared(pkt.p, self._key)
             except InvalidElement:
                 exit_drops += 1
                 continue

@@ -6,7 +6,9 @@ serve as an oracle when we clamp the scalar ourselves before comparing.
 scalar, so it is also compared with the pure-Python ``ladder`` oracle
 (``conftest``) over unclamped scalars, including those with no stand-in
 that ``mult`` splits into two factors, and points outside the prime-order
-subgroup.  The properties the mix network relies
+subgroup.  ``Key``, which builds a scalar's X25519 key once, is checked
+against the same oracle, including the base-point path that reads the
+key's public half.  The properties the mix network relies
 on (prime subgroup order, multiplicative composition of unclamped scalars)
 are asserted directly.
 """
@@ -32,6 +34,7 @@ from lluad.curve import (
     GROUP_ORDER,
     LOW_ORDER_U,
     InvalidElement,
+    Key,
     decode_element,
     encode_element,
     mult,
@@ -258,3 +261,51 @@ def test_twist_point_uses_clamp_invariant_scalar():
         (stand_in,) = _stand_ins(scalar)
         assert mult(scalar, u) == ladder(stand_in, u)
         assert mult(scalar, u) != ladder(scalar, u)
+
+
+# -- Key: a scalar with its X25519 key built once --------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalar=SCALARS, point_scalar=SUBGROUP_SCALARS)
+def test_key_matches_ladder_on_subgroup(scalar, point_scalar):
+    u = ladder(point_scalar, BASE_U)
+    key = Key(scalar)
+    assert mult(key, u) == ladder(scalar, u)
+    assert mult_base(key) == mult_base(scalar) == ladder(scalar, BASE_U)
+
+
+@pytest.mark.parametrize("scalar", FALLBACK_SCALARS)
+def test_fallback_scalars_through_key_match_ladder(scalar):
+    key = Key(scalar)
+    u = ladder(random_scalar(random.Random(scalar)), BASE_U)
+    assert mult_base(key) == ladder(scalar, BASE_U) != 0
+    assert mult(key, u) == ladder(scalar, u) != 0
+
+
+def test_key_of_group_order_multiple_gives_identity():
+    u = mult_base(random_scalar(random.Random(21)))
+    for m in (1, 2, 3, 5):
+        key = Key(m * GROUP_ORDER)
+        assert mult_base(key) == 0
+        assert mult(key, u) == 0
+
+
+@pytest.mark.parametrize("scalar", [0, -1, 1 << 255, (1 << 256) + 8])
+def test_key_rejects_out_of_range_scalars_like_mult(scalar):
+    with pytest.raises(ValueError):
+        Key(scalar)
+    with pytest.raises(ValueError):
+        mult(scalar, BASE_U)
+
+
+def test_base_point_in_any_encoding_reads_the_public_half():
+    # u = 9 + p is the base point too (X25519 reduces u mod p); clamped
+    # RFC-style scalars, random scalars and scalars with no stand-in
+    rng = random.Random(22)
+    scalars = [clamp(rng.randbytes(32)) for _ in range(3)]
+    scalars += [random_scalar(rng) for _ in range(3)] + FALLBACK_SCALARS[:2]
+    for scalar in scalars:
+        expected = ladder(scalar, BASE_U)
+        for u in (BASE_U, BASE_U + FIELD_PRIME):
+            assert mult(scalar, u) == mult(Key(scalar), u) == expected

@@ -5,6 +5,7 @@ accumulated-scalar shortcut the sender uses gives byte-identical shared
 keys to what each relay derives on its own.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -109,6 +110,42 @@ def test_ack_round_trip_through_all_layers():
     assert plan.unwrap_ack(r) == tag
     assert plan.expected_ack(payload) == tag
     assert plan.expected_ack(b"\x00" * 32) != tag
+
+
+# SHA-256 of every byte the 10-hop path below produces; recorded before
+# the curve keys were cached, so any drift in what the mix computes shows.
+TEN_HOP_DIGEST = "759705d332cdf4f0709264a9f431ffdf1b85ee84e1d228559cfc6323e64d22ea"
+
+
+def test_ten_hop_path_bytes_are_pinned():
+    """A seeded 10-hop path: the sender's plan, every relay hop, the exit
+    and the ack path back all produce the same bytes as before."""
+    rng = random.Random(505)
+    node_privs = [random_scalar(rng) for _ in range(10)]
+    node_pubs = [encode_element(mult_base(k)) for k in node_privs]
+    term_priv = random_scalar(rng)
+    term_pub = encode_element(mult_base(term_priv))
+    plan = build_path_plan(list(enumerate(node_pubs)), term_pub, T, rng=rng)
+    payload = rng.randbytes(PAYLOAD_LEN)
+
+    out = hashlib.sha256(b"".join(node_pubs) + term_pub)
+    for hop in plan.hops:
+        out.update(hop.key_element + hop.hop_hash + hop.sym_key)
+    p, h, d = plan.entry_element, plan.entry_hash, plan.wrap_payload(payload)
+    out.update(d)
+    for k_priv in node_privs:
+        p, h, d, s = transform_packet(p, h, d, k_priv, T)
+        out.update(p + h + d + s)
+    s_term = derive_shared(p, term_priv)
+    assert peel_layer(d, s_term, T) == payload
+    tag = ack_tag(payload, s_term, T)
+    r = peel_layer(tag, s_term, T, ROLE_ACK)
+    out.update(s_term + tag + r)
+    for hop in reversed(plan.hops[:-1]):
+        r = peel_layer(r, hop.sym_key, T, ROLE_ACK)
+        out.update(r)
+    assert plan.unwrap_ack(r) == tag
+    assert out.hexdigest() == TEN_HOP_DIGEST
 
 
 def test_layer_encrypt_zero_keys_is_identity():
