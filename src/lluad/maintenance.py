@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import socket
-from collections import Counter, OrderedDict, deque
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Mapping, Protocol
@@ -100,6 +100,21 @@ class PopularityScore:
     last_round: int
 
 
+def _fold(
+    weighted: float,
+    last_round: int,
+    occurrences: int,
+    round_index: int,
+    weight_a: float = WEIGHT_A,
+) -> float:
+    if round_index <= last_round:
+        raise ValueError("rounds must advance")
+    if occurrences < 0:
+        raise ValueError("occurrences must be non-negative")
+    gap = round_index - last_round
+    return weight_a * occurrences + (1.0 - weight_a) ** gap * weighted
+
+
 def update_score(
     prev: PopularityScore,
     occurrences: int,
@@ -108,22 +123,26 @@ def update_score(
 ) -> PopularityScore:
     """Fold one round's occurrence count into a score (closed-form decay
     for any skipped rounds in between)."""
-    if round_index <= prev.last_round:
-        raise ValueError("rounds must advance")
-    if occurrences < 0:
-        raise ValueError("occurrences must be non-negative")
-    gap = round_index - prev.last_round
-    weighted = weight_a * occurrences + (1.0 - weight_a) ** gap * prev.weighted
+    weighted = _fold(prev.weighted, prev.last_round, occurrences, round_index, weight_a)
     return PopularityScore(prev.key, weighted, round_index)
+
+
+def _order_bytes(key: RecordKey) -> bytes:
+    """Bytes that sort like `key.sort_key()`: no name byte is 0, so the
+    separator ends a name before any longer name it prefixes."""
+    return key.name.dotted.encode("ascii") + b"\0" + int(key.rtype).to_bytes(2, "big")
 
 
 class ScoreBoard:
     """All known scores, capped by shedding the lowest effective score
-    so forgotten records eventually drop."""
+    so forgotten records eventually drop.
+
+    Each key maps to (weighted, last round, order bytes); the order bytes
+    are built once, when the key is first scored, and leave with it."""
 
     def __init__(self, cfg: MaintenanceConfig):
         self._cap = SCORE_CAP_FACTOR * cfg.n_popular
-        self._scores: OrderedDict[RecordKey, PopularityScore] = OrderedDict()
+        self._scores: dict[RecordKey, tuple[float, int, bytes]] = {}
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -132,24 +151,25 @@ class ScoreBoard:
         return key in self._scores
 
     def apply_round(self, round_index: int, tallies: Mapping[RecordKey, int]) -> None:
+        scores = self._scores
         for key, occurrences in tallies.items():
-            prev = self._scores.get(key) or PopularityScore(key, 0.0, round_index - 1)
-            self._scores[key] = update_score(prev, occurrences, round_index)
-        excess = len(self._scores) - self._cap
+            prev = scores.get(key)
+            if prev is None:
+                prev = (0.0, round_index - 1, _order_bytes(key))
+            weighted = _fold(prev[0], prev[1], occurrences, round_index)
+            scores[key] = (weighted, round_index, prev[2])
+        excess = len(scores) - self._cap
         if excess > 0:
             # shed the weakest scores, stalest first on ties; recency alone
             # would let one busy round flush the whole popular head
-            victims = heapq.nsmallest(
-                excess,
-                self._scores.values(),
-                key=lambda s: (
-                    s.weighted * (1.0 - WEIGHT_A) ** (round_index - s.last_round),
-                    s.last_round,
-                    s.key.sort_key(),
-                ),
-            )
-            for score in victims:
-                del self._scores[score.key]
+            decay = 1.0 - WEIGHT_A
+
+            def weakness(item):
+                weighted, last_round, order = item[1]
+                return (weighted * decay ** (round_index - last_round), last_round, order)
+
+            for key, _ in heapq.nsmallest(excess, scores.items(), key=weakness):
+                del scores[key]
 
     def top(
         self, round_index: int, n: int, incumbents: frozenset[RecordKey]
@@ -157,12 +177,23 @@ class ScoreBoard:
         """Rank by effective score; ties keep incumbents, then fall back to
         canonical key order so the result is deterministic."""
         decay = 1.0 - WEIGHT_A
-        ranked = []
-        for k, score in self._scores.items():
-            eff = score.weighted * decay ** (round_index - score.last_round)
+        keys, effs, newcomer, orders = [], [], [], []
+        for k, (weighted, last_round, order) in self._scores.items():
+            eff = weighted * decay ** (round_index - last_round)
             if eff > 0.0:
-                ranked.append((-eff, k not in incumbents, k.sort_key(), k))
-        return [entry[-1] for entry in heapq.nsmallest(n, ranked)]
+                keys.append(k)
+                effs.append(-eff)
+                newcomer.append(k not in incumbents)
+                orders.append(order)
+        # stable sorts, last tie-break first, give the order of
+        # (-eff, newcomer, order) tuples without building one per key:
+        # tuples are tracked by the cyclic garbage collector, and at 25k
+        # keys they started a full collection (hundreds of ms) inside
+        # about one refresh in four
+        ranked = sorted(range(len(keys)), key=orders.__getitem__)
+        ranked.sort(key=newcomer.__getitem__)
+        ranked.sort(key=effs.__getitem__)
+        return [keys[i] for i in ranked[:n]]
 
 
 @dataclass(frozen=True)
@@ -238,6 +269,26 @@ def _canonical_answers(answers: Iterable[bytes]) -> tuple[bytes, ...]:
     return tuple(sorted(set(answers)))
 
 
+class _Draft(dict):
+    """A working copy of the record table that notes every key written or
+    deleted: with the keys whose chain use changed, these are the only
+    keys a commit has to diff."""
+
+    def __init__(
+        self, records: Mapping[RecordKey, RecordDef], touched: Iterable[RecordKey]
+    ):
+        super().__init__(records)
+        self.touched = set(touched)
+
+    def __setitem__(self, key: RecordKey, value: RecordDef) -> None:
+        self.touched.add(key)
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key: RecordKey) -> None:
+        self.touched.add(key)
+        super().__delitem__(key)
+
+
 class Maintainer:
     """Owns the authoritative list and produces the update stream.
 
@@ -245,6 +296,22 @@ class Maintainer:
     and reshapes membership; run_ttl() requeries expiring records and queues
     pool rotations; flush_lb_updates() batches queued rotations, at most one
     batch per min_ttl.  Every method returns the messages to broadcast.
+
+    The list holds exactly the records that serve a ranked key through a
+    complete chain.  A ranked key whose own record is listed is served
+    directly; the chain index keeps the rest:
+
+        _rank   ranked key -> its place in the ranking, in ranking order
+        _links  ranked key -> its chain, CNAME links first, when complete
+        _via    record key -> the ranked keys whose `_links` pass through it
+        _open   ranked keys with no complete chain (tried again by every
+                refresh and every TTL pass that changes structure)
+
+    So a refresh or TTL pass ensures only the ranked keys that entered,
+    are open, or lost a link, and diffs only the records they touched.
+    It ensures them in rank order, which keeps the upstream queries and
+    rng draws of a pass over every ranked key: the chains of the others
+    are complete, and ensuring a complete chain queries nothing.
     """
 
     def __init__(
@@ -261,10 +328,14 @@ class Maintainer:
         self.round_index = 0
         self.schedule = TtlSchedule()
         self._tallies: Counter[RecordKey] = Counter()
-        self._top: list[RecordKey] = []
+        self._rank: dict[RecordKey, int] = {}
+        self._links: dict[RecordKey, tuple[RecordKey, ...]] = {}
+        self._via: dict[RecordKey, list[RecordKey]] = {}
+        self._open: set[RecordKey] = set()
+        self._stale: set[RecordKey] = set()  # records the next commit diffs too
         self._pending_offsets: dict[RecordKey, int] = {}
         self._last_lb_flush: float | None = None
-        self._change_history: dict[RecordKey, deque[tuple[float, frozenset[bytes]]]] = {}
+        self._change_history: dict[RecordKey, list[tuple[float, frozenset[bytes]]]] = {}
         self._backoff: dict[RecordKey, int] = {}
 
     @property
@@ -281,14 +352,86 @@ class Maintainer:
         self.round_index += 1
         self.scores.apply_round(self.round_index, self._tallies)
         self._tallies = Counter()
-        top = self.scores.top(
-            self.round_index, self.cfg.n_popular, frozenset(self._top)
-        )
-        self._top = top
-        defs = dict(self.plist.records)
-        for voted in top:
+        # frozensets built from dicts reuse the stored hashes
+        before = frozenset(self._rank)
+        top = self.scores.top(self.round_index, self.cfg.n_popular, before)
+        self._rank = {key: i for i, key in enumerate(top)}
+        after = frozenset(self._rank)
+        left, entered = before - after, after - before
+        try:
+            defs = _Draft(self.plist.records, self._stale)
+            for voted in left:
+                self._unlink(voted, defs.touched)
+            self._ensure(defs, entered | self._open, now)
+            return self._commit_membership(defs, now)
+        except BaseException:
+            self._relink()
+            raise
+
+    def _ensure(self, defs: _Draft, dirty: set[RecordKey], now: float) -> None:
+        """Ensure the chains of the `dirty` ranked keys, in rank order, then
+        index them again on the edited table."""
+        ordered = sorted(dirty, key=self._rank.__getitem__)
+        for voted in ordered:
             self._ensure_chain(defs, voted, now)
-        return self._commit_membership(defs, now)
+        for voted in ordered:
+            self._unlink(voted, defs.touched)
+            self._link(voted, defs, defs.touched)
+
+    def _unlink(self, voted: RecordKey, touched: set[RecordKey]) -> None:
+        touched.add(voted)
+        self._open.discard(voted)
+        for key in self._links.pop(voted, ()):
+            users = self._via[key]
+            users.remove(voted)
+            if not users:
+                del self._via[key]
+            touched.add(key)
+
+    def _link(
+        self,
+        voted: RecordKey,
+        defs: Mapping[RecordKey, RecordDef],
+        touched: set[RecordKey],
+    ) -> None:
+        """Index the chain of `voted` as it stands in `defs`."""
+        links: list[RecordKey] = []
+        name = voted.name
+        for _ in range(CNAME_CHAIN_LIMIT):
+            key = RecordKey(name, voted.rtype)
+            if key in defs:
+                break
+            ck = RecordKey(name, RecordType.CNAME)
+            if ck not in defs:
+                self._open.add(voted)
+                return
+            links.append(defs[ck].key)  # a copy per link would cost 0.7 MB at 25k
+            name = defs[ck].cname_target
+        else:
+            self._open.add(voted)
+            return
+        touched.add(key)
+        if links:
+            links.append(defs[key].key)
+            self._links[voted] = tuple(links)
+            for link in links:
+                self._via.setdefault(link, []).append(voted)
+                touched.add(link)
+
+    def _users(self, key: RecordKey) -> set[RecordKey]:
+        """The ranked keys a listed record serves."""
+        users = set(self._via.get(key, ()))
+        if key in self._rank:
+            users.add(key)
+        return users
+
+    def _relink(self) -> None:
+        """Rebuild the chain index from the list as it stands, after a pass
+        that raised, and have the next commit diff every listed record."""
+        self._links, self._via, self._open = {}, {}, set()
+        self._stale = set(self.plist.records)
+        for voted in self._rank:
+            self._link(voted, self.plist.records, self._stale)
 
     def _ensure_chain(
         self, defs: dict[RecordKey, RecordDef], voted: RecordKey, now: float
@@ -339,46 +482,32 @@ class Maintainer:
                 return True
         return True
 
-    def _closure_keys(self, defs: dict[RecordKey, RecordDef]) -> set[RecordKey]:
-        """Def keys reachable from the ranked set through complete chains."""
-        needed: set[RecordKey] = set()
-        for voted in self._top:
-            links: list[RecordKey] = []
-            name = voted.name
-            for _ in range(CNAME_CHAIN_LIMIT):
-                key = RecordKey(name, voted.rtype)
-                if key in defs:
-                    links.append(key)
-                    needed.update(links)
-                    break
-                ck = RecordKey(name, RecordType.CNAME)
-                if ck not in defs:
-                    break
-                links.append(ck)
-                name = defs[ck].cname_target
-        return needed
-
-    def _commit_membership(
-        self, defs: dict[RecordKey, RecordDef], now: float
-    ) -> list[UpdateMessage]:
-        """Diff edited defs against the list, then apply and return the
-        messages: the removals, then the additions.
+    def _commit_membership(self, defs: _Draft, now: float) -> list[UpdateMessage]:
+        """Diff the touched records against the list, then apply and return
+        the messages: the removals, then the additions.
 
         The list retains a removed record while a surviving CNAME targets
         it.  When the removals alone would retain one (a CNAME that the
         additions retarget still points at it), a single message carries
         both halves, so the list lands on exactly the needed records."""
         current = self.plist.records
-        needed = self._closure_keys(defs)
+
+        def needed(k: RecordKey) -> bool:
+            return k in defs and (k in self._rank or k in self._via)
+
         removals = tuple(
-            sorted((k for k in current if k not in needed), key=RecordKey.sort_key)
+            sorted(
+                (k for k in defs.touched if k in current and not needed(k)),
+                key=RecordKey.sort_key,
+            )
         )
         additions = tuple(
             sorted(
-                (defs[k] for k in needed if defs[k] != current.get(k)),
+                (defs[k] for k in defs.touched if needed(k) and defs[k] != current.get(k)),
                 key=lambda d: d.key.sort_key(),
             )
         )
+        self._stale = set()
         if not (removals or additions):
             return []
         messages: list[UpdateMessage] = []
@@ -409,9 +538,16 @@ class Maintainer:
         due = self.schedule.due(now)
         if not due:
             return []
-        defs = dict(self.plist.records)
-        structure_dirty = False
-        touched = False
+        try:
+            return self._requery(due, now)
+        except BaseException:
+            self._relink()
+            raise
+
+    def _requery(self, due: list[RecordKey], now: float) -> list[UpdateMessage]:
+        defs = _Draft(self.plist.records, self._stale)
+        reshaped: set[RecordKey] = set()  # ranked keys that lost a link
+        structure_dirty = touched = False
         for key in due:
             if key not in defs:
                 self._change_history.pop(key, None)
@@ -432,22 +568,24 @@ class Maintainer:
             if key.rtype == RecordType.CNAME:
                 if answer.cname is None:
                     del defs[key]
-                    structure_dirty = touched = True
                 elif answer.cname != defs[key].cname_target:
                     defs[key] = RecordDef(key, RecordAnswer.cname(answer.cname).data)
-                    structure_dirty = touched = True
+                else:
+                    continue
+                reshaped |= self._users(key)
+                structure_dirty = touched = True
                 continue
             observed = _canonical_answers(answer.answers)
             if not observed:
                 del defs[key]
+                reshaped |= self._users(key)
                 structure_dirty = touched = True
                 continue
             touched |= self._absorb_answers(defs, key, observed, now)
         if not touched:
             return []
         if structure_dirty:
-            for voted in self._top:
-                self._ensure_chain(defs, voted, now)
+            self._ensure(defs, reshaped | self._open, now)
         return self._commit_membership(defs, now)
 
     def _absorb_answers(
@@ -490,18 +628,20 @@ class Maintainer:
     def _note_change(
         self, key: RecordKey, observed: tuple[bytes, ...], now: float
     ) -> None:
-        history = self._change_history.setdefault(key, deque())
+        history = self._change_history.setdefault(key, [])
         snapshot = frozenset(observed)
         if not history or history[-1][1] != snapshot:
             history.append((now, snapshot))
         cutoff = now - LB_CHANGE_WINDOW
         while history and history[0][0] < cutoff:
-            history.popleft()
+            del history[0]
 
     def _seed_history(
         self, key: RecordKey, observed: tuple[bytes, ...], now: float
     ) -> None:
-        self._change_history[key] = deque([(now, frozenset(observed))])
+        # a list, not a deque: every listed record has a history, and a
+        # deque takes 760 bytes even with one entry
+        self._change_history[key] = [(now, frozenset(observed))]
 
     def _classify_lb(self, key: RecordKey, now: float) -> bool:
         history = self._change_history.get(key, ())

@@ -54,10 +54,6 @@ class InsufficientShufflers(Exception):
     """Too few online shufflers for paths to have enough distinct nodes."""
 
 
-class RoundClosed(Exception):
-    """Vote submission arrived outside the round's submission phase."""
-
-
 @dataclass(frozen=True)
 class MixPacket:
     """One fixed-size unit of mix traffic.

@@ -330,6 +330,14 @@ def record_count(plist: PopularityList) -> int:
     return len(plist.records)
 
 
+def _rotated(d: RecordDef, answer: bytes) -> RecordDef:
+    """`d` with another entry of its pool active.  The pool was checked
+    when `d` was built, so the copy skips `__post_init__`."""
+    out = object.__new__(RecordDef)
+    out.__dict__.update(key=d.key, answer=answer, pool=d.pool)
+    return out
+
+
 def apply_lb_update(
     plist: PopularityList, entries: Iterable[tuple[int, int]]
 ) -> PopularityList:
@@ -348,8 +356,7 @@ def apply_lb_update(
         key = order[entry_index]
         d = table[key]
         pool = d.pool
-        moved = pool[(pool.index(d.answer) + offset) % len(pool)]
-        table[key] = RecordDef(key, moved, pool)
+        table[key] = _rotated(d, pool[(pool.index(d.answer) + offset) % len(pool)])
         applied += 1
     if not applied:
         return plist

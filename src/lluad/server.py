@@ -351,10 +351,6 @@ class LluadServer:
         with self._state_lock:
             return self._sessions.get(cid)
 
-    def connected_clients(self) -> list[str]:
-        with self._state_lock:
-            return sorted(self._sessions)
-
     def _broadcast(self, msg_type: int, body: bytes) -> None:
         with self._state_lock:
             sessions = list(self._sessions.values())

@@ -1,6 +1,7 @@
 """Score math against a closed-form oracle, then the maintainer's full
 refresh / requery / batch cycle against a scripted upstream."""
 
+import hashlib
 import random
 import socket
 import struct
@@ -24,7 +25,12 @@ from lluad.maintenance import (
     apply_update,
     update_score,
 )
-from lluad.poplist import build_list, lookup, record_count
+from lluad.poplist import build_list, lookup, record_count, serialize
+from lluad.traces import SyntheticUniverse, UniverseConfig, ZipfGeneratorConfig, generate_trace
+from lluad.wire import encode_lb_update, encode_membership_update
+
+# SHA-256 over the pinned run's messages and final list, and its generation
+MAINTAINER_DIGEST = ("c993f7a7c0f6d17bcc912f8a90a8fbd622fae768829b1881b949d85c78f7b936", 7487)
 
 
 def key(text, rtype=RecordType.A):
@@ -445,6 +451,53 @@ def test_retargeted_cname_chains_keep_replica_identical():
     assert replica.same_structure(m.plist) and replica.generation == m.generation
     assert lookup(m.plist, key("mid.example")) is None
     assert lookup(m.plist, voted).answers[-1].data == bytes([203, 0, 113, 3])
+
+
+def test_maintainer_output_is_pinned():
+    """The list-sync shape at small size: a leader learns its pools, fills
+    its list, then runs a few virtual hours of minute TTL passes, pointer
+    flushes and hourly vote refreshes.  Every message it emits and the
+    list it ends on have the same bytes as before."""
+    universe = SyntheticUniverse(
+        UniverseConfig(600, seed=601, lb_fraction=0.05, cname_fraction=0.05)
+    )
+    clock = [0.0]
+    m = Maintainer(
+        cfg(n_popular=500), universe.upstream(clock=lambda: clock[0]), random.Random(601)
+    )
+    out = hashlib.sha256()
+
+    def emit(messages):
+        for msg in messages:
+            if isinstance(msg, LbUpdate):
+                out.update(b"L" + encode_lb_update(msg))
+            else:
+                out.update(b"M" + encode_membership_update(msg))
+
+    def minute():
+        clock[0] += 60.0
+        emit(m.run_ttl(clock[0]))
+        emit([batch] if (batch := m.flush_lb_updates(clock[0])) else [])
+
+    top = universe.keys[:500]
+    m.ingest_votes(k for k, kind in zip(top, universe.kind) if kind == "lb")
+    emit(m.run_refresh(clock[0]))
+    for _ in range(10):
+        minute()
+    m.ingest_votes(top)
+    emit(m.run_refresh(clock[0]))
+    trace = generate_trace(
+        ZipfGeneratorConfig(600, clients=40, queries_per_client_hour=20, hours=4, seed=601),
+        universe,
+    )
+    sample = random.Random(602)
+    for _, events in trace.hours():
+        for _ in range(60):
+            minute()
+        m.ingest_votes(e.key for e in events if sample.random() < 0.3)
+        emit(m.run_refresh(clock[0]))
+    out.update(serialize(m.plist))
+    assert (out.hexdigest(), m.generation) == MAINTAINER_DIGEST
 
 
 # -- the plain UDP upstream against replies from outside ---------------------

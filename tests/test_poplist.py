@@ -145,6 +145,15 @@ def test_lb_update_rotates_mod_group_size():
         apply_lb_update(plist, [(5, 1)])
 
 
+def test_rotated_record_equals_a_checked_one():
+    a = tuple(bytes([10, 0, 0, i]) for i in range(1, 5))
+    k = key("lb.example")
+    plist = apply_lb_update(build_list([RecordDef(k, a[0], a)]), [(0, 2)])
+    checked = RecordDef(k, a[2], a)
+    assert plist.records[k] == checked and hash(plist.records[k]) == hash(checked)
+    assert deserialize(serialize(plist)).records[k] == checked
+
+
 def test_lb_offsets_compose_additively():
     rng = random.Random(32)
     a = tuple(bytes([10, 1, 0, i]) for i in range(6))
