@@ -30,15 +30,14 @@ from .curve import encode_element, mult_base, random_scalar
 from .dnsmsg import RecordType
 from .maintenance import Maintainer, MaintenanceConfig, PlainUdpUpstream
 from .poplist import (
-    CnameSlot,
-    InlineSlot,
     MAGIC,
-    PoolSlot,
     PopularityList,
+    RecordDef,
     build_list,
     deserialize,
     record_count,
     serialize,
+    wire_nodes,
 )
 from .server import ClientRegistry, LluadServer
 from .simharness import (
@@ -379,19 +378,16 @@ def _answer_text(rtype: RecordType, data: bytes) -> str:
     return f"{len(data)}B 0x{data.hex()}"
 
 
-def _slot_text(plist: PopularityList, slot) -> str:
-    if isinstance(slot, InlineSlot):
-        answer = slot.answer
-        return f"{answer.rtype.name} {_answer_text(answer.rtype, answer.data)}"
-    if isinstance(slot, PoolSlot):
-        group = plist.pool.groups[slot.entry_index]
+def _record_text(d: RecordDef, entry_index: dict) -> str:
+    rtype = d.key.rtype
+    if rtype == RecordType.CNAME:
+        return f"CNAME -> {d.cname_target}"
+    if d.pool:
         return (
-            f"{group.key.rtype.name} pool[{slot.entry_index}] "
-            f"{len(group.answers)} answers, active #{group.current_index}"
+            f"{rtype.name} pool[{entry_index[d.key]}] "
+            f"{len(d.pool)} answers, active #{d.pool.index(d.answer)}"
         )
-    if isinstance(slot, CnameSlot):
-        return f"CNAME -> {slot.target}"
-    return repr(slot)
+    return f"{rtype.name} {_answer_text(rtype, d.answer)}"
 
 
 def _render_list(plist: PopularityList, max_nodes: int, max_groups: int) -> str:
@@ -399,25 +395,15 @@ def _render_list(plist: PopularityList, max_nodes: int, max_groups: int) -> str:
         f"generation {plist.generation}: {record_count(plist)} records, "
         f"{len(plist.pool.groups)} pool groups"
     ]
-    shown = 0
-    hidden = 0
-
-    def walk(node, depth: int) -> None:
-        nonlocal shown, hidden
-        if shown >= max_nodes:
-            hidden += 1
-        else:
-            shown += 1
-            slots = "; ".join(_slot_text(plist, s) for s in node.slots)
-            suffix = f"  [{slots}]" if slots else ""
-            lines.append("  " * depth + ".".join(node.labels) + suffix)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    for root in plist.roots:
-        walk(root, 1)
-    if hidden:
-        lines.append(f"  ... {hidden} more nodes")
+    entry_index = {key: i for i, key in enumerate(plist.lb_entry_order)}
+    nodes = wire_nodes(plist)
+    shown = nodes[: max(max_nodes, 0)]
+    for node in shown:
+        records = "; ".join(_record_text(d, entry_index) for d in node.records)
+        suffix = f"  [{records}]" if records else ""
+        lines.append("  " * len(node.path) + ".".join(node.labels) + suffix)
+    if len(nodes) > len(shown):
+        lines.append(f"  ... {len(nodes) - len(shown)} more nodes")
     if plist.pool.groups:
         lines.append("pool:")
         for i, group in enumerate(plist.pool.groups[:max_groups]):

@@ -286,13 +286,18 @@ class LluadClient:
         self._reader.start()
 
     def close(self) -> None:
+        """Close the session and the stub listener, and wait for the
+        threads reading them to end."""
         self._stopping = True
         if self._stream is not None:
             self._stream.close()
         if self._udp_sock is not None:
-            self._udp_sock.close()
+            wire.close_socket(self._udp_sock)
         with self._cv:
             self._cv.notify_all()
+        for thread in (self._reader, self._udp_thread):
+            if thread is not None and thread is not threading.current_thread():
+                thread.join()
 
     @property
     def connected(self) -> bool:
@@ -306,8 +311,6 @@ class LluadClient:
         """Drop the session and start fresh; state converges through the
         new snapshot."""
         self.close()
-        if self._reader is not None:
-            self._reader.join(timeout=timeout)
         self.connect(timeout=timeout)
 
     def resync(self) -> None:

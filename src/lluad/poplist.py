@@ -1,5 +1,5 @@
-"""The client-local popularity list: one record table, a label tree derived
-from it for the wire.
+"""The client-local popularity list: one record table, and the wire
+format's label tree derived from it on demand.
 
 A list is an immutable value holding three things:
 
@@ -15,21 +15,24 @@ record (so a lookup never leaves the table) and CNAMEs form no cycle.
 `build_list` checks all records; updates copy the table, edit the copy and
 check only the records they touch.
 
-Two views are derived from the table.  `pool.groups` lists the pool in
-entry order.  `roots` is the label tree of the wire format, in which
-chains of single-child nodes carrying no records are merged into one node
-holding several labels, so "a.b.example.com" costs one node when the
-intermediate names hold nothing.  Each record occupies one slot at its
-node:
+The wire format is the label tree followed by the pool.  `wire_nodes`
+walks the tree straight from the table: one node per record name and one
+per name at which record names branch, in canonical preorder (children
+sorted by label).  A chain of names that hold nothing and do not branch
+is merged into the node below it, so "a.b.example.com" costs one node
+when the names above it hold nothing.  Each record is one slot at its
+node, in type-code order:
 
     inline        the answer bytes stored in place
     pool pointer  an index into the load-balancing pool (records whose
                   answer rotates across a set of addresses)
-    cname         a reference to another name in the tree
+    cname         the index path of the target's node
 
-The tree is built on first use, by `serialize` or by reading `roots`, once
+`pool.groups` lists the pool in entry order.  `roots` is the encoded tree
+section, built on first use, by `serialize` or by reading `roots`, once
 per membership: pointer rotations change no slot, so every list reached
-from another by rotations alone shares its tree object.
+from another by rotations alone shares that bytes object, and a snapshot
+after a rotation encodes only the pool.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
 
@@ -63,33 +66,6 @@ class IndexOutOfRange(LookupError):
 
 class UnknownRecord(LookupError):
     """An update referenced a record the list does not hold."""
-
-
-@dataclass(frozen=True)
-class InlineSlot:
-    answer: RecordAnswer
-
-
-@dataclass(frozen=True)
-class PoolSlot:
-    entry_index: int
-
-
-@dataclass(frozen=True)
-class CnameSlot:
-    target: DomainName
-
-
-Slot = InlineSlot | PoolSlot | CnameSlot
-
-
-@dataclass(frozen=True)
-class ListNode:
-    """One tree node: one or more merged labels, record slots, children."""
-
-    labels: tuple[str, ...]
-    slots: tuple[Slot, ...]
-    children: tuple["ListNode", ...]
 
 
 @dataclass(frozen=True)
@@ -152,14 +128,20 @@ class PopularityList:
     records: Mapping[RecordKey, RecordDef]
     lb_entry_order: tuple[RecordKey, ...]
     generation: int = 0
-    # the label tree of this membership, once built; rotations share it
+    # (tree section, pool node references) of this membership, once
+    # encoded; rotations share it
     _tree: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
     @property
-    def roots(self) -> tuple[ListNode, ...]:
+    def roots(self) -> bytes:
+        """The encoded label-tree section of the wire format: one object
+        per membership, shared by every list reached by rotations alone."""
+        return self._wire_tree()[0]
+
+    def _wire_tree(self) -> tuple[bytes, tuple[bytes, ...]]:
         with _TREE_LOCK:
             if self._tree[0] is None:
-                self._tree[0] = _build_tree(self)
+                self._tree[0] = _encode_tree(self)
             return self._tree[0]
 
     @cached_property
@@ -246,45 +228,6 @@ def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList
     return PopularityList(table, order, generation)
 
 
-class _TrieNode:
-    __slots__ = ("children", "slots")
-
-    def __init__(self):
-        self.children: dict[str, _TrieNode] = {}
-        self.slots: dict[RecordType, Slot] = {}
-
-
-def _build_tree(plist: PopularityList) -> tuple[ListNode, ...]:
-    entry_index = {k: i for i, k in enumerate(plist.lb_entry_order)}
-    root = _TrieNode()
-    for key, d in plist.records.items():
-        node = root
-        for label in key.name.labels:
-            child = node.children.get(label)
-            if child is None:
-                child = node.children[label] = _TrieNode()
-            node = child
-        if key.rtype == RecordType.CNAME:
-            slot: Slot = CnameSlot(d.cname_target)
-        elif d.pool:
-            slot = PoolSlot(entry_index[key])
-        else:
-            slot = InlineSlot(RecordAnswer(key.rtype, d.answer))
-        node.slots[key.rtype] = slot
-
-    def convert(label: str, tnode: _TrieNode) -> ListNode:
-        children = tuple(
-            convert(lb, child) for lb, child in sorted(tnode.children.items())
-        )
-        slots = tuple(tnode.slots[t] for t in sorted(tnode.slots))
-        if not slots and len(children) == 1:
-            only = children[0]
-            return ListNode((label,) + only.labels, only.slots, only.children)
-        return ListNode((label,), slots, children)
-
-    return tuple(convert(lb, child) for lb, child in sorted(root.children.items()))
-
-
 def lookup(plist: PopularityList, key: RecordKey) -> Hit | None:
     """Resolve a key, following CNAME indirections inside the list.
 
@@ -305,20 +248,6 @@ def lookup(plist: PopularityList, key: RecordKey) -> Hit | None:
         name = via.cname_target
         found = records.get(RecordKey(name, key.rtype))
     return None
-
-
-def node_paths(plist: PopularityList) -> dict[tuple[str, ...], tuple[int, ...]]:
-    """Full label tuple -> index path from the top, for every node, in the
-    canonical preorder that serialization and node references use."""
-    paths: dict[tuple[str, ...], tuple[int, ...]] = {}
-    stack = [(node, (), ()) for node in reversed(plist.roots)]
-    while stack:
-        node, prefix, path = stack.pop()
-        full = prefix + node.labels
-        paths[full] = path = path + (len(paths),)  # full names are unique
-        for child in reversed(node.children):
-            stack.append((child, full, path))
-    return paths
 
 
 def iter_records(plist: PopularityList) -> Iterator[RecordDef]:
@@ -430,60 +359,101 @@ _KIND_POOL = 1
 _KIND_CNAME = 2
 
 
-def serialize(plist: PopularityList, compress: bool = False) -> bytes:
-    """Encode to the list wire format.  Deterministic for equal lists."""
-    paths = node_paths(plist)
-    index_of = {full: path[-1] for full, path in paths.items()}
+class WireNode(NamedTuple):
+    """One node of the wire format's label tree."""
 
+    labels: tuple[str, ...]  # merged labels, the parent's side first
+    records: tuple[RecordDef, ...]  # sorted by type code
+    children: int
+    path: tuple[int, ...]  # preorder indexes from a top node down to this one
+
+
+def wire_nodes(plist: PopularityList) -> list[WireNode]:
+    """The label tree in canonical preorder, derived from the table.
+
+    Preorder with sorted children is the sort order of the full label
+    tuples.  The nodes are the record names plus every name at which two
+    record names part: the longest common prefix of each adjacent pair in
+    that order.  A node's parent is the nearest node that is a prefix of
+    it, and its labels are the ones the parent lacks."""
+    by_name: dict[tuple[str, ...], list[RecordDef]] = {}
+    for key, d in plist.records.items():
+        by_name.setdefault(key.name.labels, []).append(d)
+    names = sorted(by_name)
+    full = set(names)
+    for a, b in zip(names, names[1:]):
+        shared = 0
+        for x, y in zip(a, b):
+            if x != y:
+                break
+            shared += 1
+        if shared:
+            full.add(a[:shared])
+    nodes: list[list] = []  # [labels, records, child count, path]
+    stack: list[tuple[tuple[str, ...], tuple[int, ...]]] = []  # open ancestors
+    for name in sorted(full):
+        while stack and name[: len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        parent, path = stack[-1] if stack else ((), ())
+        if path:
+            nodes[path[-1]][2] += 1
+        path += (len(nodes),)
+        records = by_name.get(name, [])
+        if len(records) > 1:
+            records.sort(key=lambda d: d.key.rtype)
+        nodes.append([name[len(parent) :], tuple(records), 0, path])
+        stack.append((name, path))
+    return [WireNode(*node) for node in nodes]
+
+
+def _encode_tree(plist: PopularityList) -> tuple[bytes, tuple[bytes, ...]]:
+    """The tree section of the wire format, and each pool group's node
+    reference in entry order."""
+    nodes = wire_nodes(plist)
+    paths = {n.records[0].key.name.labels: n.path for n in nodes if n.records}
+    entry_index = {key: i for i, key in enumerate(plist.lb_entry_order)}
     body = bytearray()
-
-    def emit_node(node: ListNode, prefix: tuple[str, ...]) -> None:
-        full = prefix + node.labels
-        if len(node.labels) > 0xFF or len(node.slots) > 0xFF:
-            raise FormatError("node exceeds format limits")
-        body.append(len(node.labels))
-        for label in node.labels:
+    for labels, records, children, _ in nodes:
+        body.append(len(labels))
+        for label in labels:
             raw = label.encode("ascii")
             body.append(len(raw))
             body.extend(raw)
-        body.append(len(node.slots))
-        for slot in node.slots:
-            if isinstance(slot, InlineSlot):
-                body.append(_KIND_INLINE)
-                body.extend(int(slot.answer.rtype).to_bytes(2, "big"))
-                body.append(len(slot.answer.data))
-                body.extend(slot.answer.data)
-            elif isinstance(slot, PoolSlot):
-                body.append(_KIND_POOL)
-                body.extend(_u24(slot.entry_index))
-            else:
-                target_path = paths.get(slot.target.labels)
-                if target_path is None:
-                    raise InvariantViolation(
-                        f"CNAME target {slot.target} has no node"
-                    )
+        body.append(len(records))
+        for d in records:
+            if d.key.rtype == RecordType.CNAME:
+                target_path = paths[d.cname_target.labels]
                 body.append(_KIND_CNAME)
-                if len(target_path) > 0xFF:
-                    raise FormatError("reference path too deep")
                 body.append(len(target_path))
                 for idx in target_path:
                     body.extend(_u24(idx))
-        if len(node.children) > 0xFFFF:
+            elif d.pool:
+                body.append(_KIND_POOL)
+                body.extend(_u24(entry_index[d.key]))
+            else:
+                body.append(_KIND_INLINE)
+                body.extend(int(d.key.rtype).to_bytes(2, "big"))
+                body.append(len(d.answer))
+                body.extend(d.answer)
+        if children > 0xFFFF:
             raise FormatError("too many children")
-        body.extend(len(node.children).to_bytes(2, "big"))
-        for child in node.children:
-            emit_node(child, full)
+        body.extend(children.to_bytes(2, "big"))
+    refs = tuple(_u24(paths[key.name.labels][-1]) for key in plist.lb_entry_order)
+    return bytes(body), refs
 
-    for root in plist.roots:
-        emit_node(root, ())
 
-    for group in plist.pool.groups:
-        body.extend(_u24(index_of[group.key.name.labels]))
-        if len(group.answers) > 0xFF:
+def serialize(plist: PopularityList, compress: bool = False) -> bytes:
+    """Encode to the list wire format.  Deterministic for equal lists."""
+    tree, refs = plist._wire_tree()
+    body = bytearray(tree)
+    for ref, key in zip(refs, plist.lb_entry_order):
+        d = plist.records[key]
+        if len(d.pool) > 0xFF:
             raise FormatError("pool group too large")
-        body.append(len(group.answers))
-        body.append(group.current_index)
-        for answer in group.answers:
+        body.extend(ref)
+        body.append(len(d.pool))
+        body.append(d.pool.index(d.answer))
+        for answer in d.pool:
             body.append(len(answer))
             body.extend(answer)
 

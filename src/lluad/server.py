@@ -40,6 +40,8 @@ ERR_AUTH = 1
 ERR_PROTOCOL = 2
 ERR_ROUND_ABORTED = 3
 
+TLS_HANDSHAKE_TIMEOUT = 10.0  # seconds
+
 
 class AuthFailure(Exception):
     pass
@@ -225,7 +227,9 @@ class LluadServer:
         self._round_lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
+        self._accept_thread: threading.Thread | None = None
+        # every open connection, authenticated or not, and its thread
+        self._connections: dict[_Session, threading.Thread] = {}
         self._stopping = False
         self.round_server = RoundServer(
             server_priv,
@@ -242,9 +246,8 @@ class LluadServer:
         listener = socket.create_server((self._host, self._port))
         listener.listen(64)
         self._listener = listener
-        thread = threading.Thread(target=self._accept_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread.start()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -252,13 +255,18 @@ class LluadServer:
         return self._listener.getsockname()[:2]
 
     def stop(self) -> None:
+        """Close the listener and every connection, and wait for the
+        threads serving them to end."""
         self._stopping = True
         if self._listener is not None:
-            self._listener.close()
+            wire.close_socket(self._listener)
+        if self._accept_thread is not None:
+            self._accept_thread.join()
         with self._state_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
+            connections = list(self._connections.items())
+        for session, thread in connections:
             session.close()
+            thread.join()
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -268,16 +276,21 @@ class LluadServer:
             except OSError:
                 return
             if self._ssl_context is not None:
+                # bounded, so that a stalled handshake cannot hold up stop()
+                conn.settimeout(TLS_HANDSHAKE_TIMEOUT)
                 try:
                     conn = self._ssl_context.wrap_socket(conn, server_side=True)
-                except ssl.SSLError as exc:
+                except OSError as exc:
                     log.warning("TLS handshake failed from %s: %s", peer, exc)
                     conn.close()
                     continue
+                conn.settimeout(None)
             session = _Session(wire.FrameStream(conn), peer)
             thread = threading.Thread(
                 target=self._session_loop, args=(session,), daemon=True
             )
+            with self._state_lock:
+                self._connections[session] = thread
             thread.start()
 
     # -- sessions ----------------------------------------------------------
@@ -292,6 +305,8 @@ class LluadServer:
             self._send_error(session, ERR_PROTOCOL, str(exc))
         finally:
             self._drop_session(session)
+            with self._state_lock:
+                del self._connections[session]
 
     def _serve_session(self, session: _Session) -> None:
         msg_type, body = session.stream.recv()

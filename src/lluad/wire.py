@@ -76,11 +76,18 @@ class FrameStream:
         return payload[0], payload[1:]
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        close_socket(self._sock)
+
+
+def close_socket(sock: socket.socket) -> None:
+    """Shut down, then close: unlike a bare close, this wakes a thread
+    blocked on the socket in accept, recv or recvfrom.  The ENOTCONN of an
+    unconnected socket is ignored; its waiters are woken all the same."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
 
 
 # -- scalar helpers ----------------------------------------------------------

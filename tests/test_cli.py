@@ -5,6 +5,7 @@ the end; everything else runs in-process through main().
 """
 
 import csv
+import hashlib
 import json
 import re
 import select
@@ -278,6 +279,25 @@ def test_inspect_raw_list(snapshot_files, capsys):
     out = capsys.readouterr().out
     assert "more nodes" in out
     assert "pool:" in out
+
+
+@pytest.mark.parametrize(
+    "which, limits, digest",
+    [
+        (0, (), "79a1e872decaa21485d575be9d5efa0c6c7f81dd8753088dea82f3d2d842560a"),
+        (1, (), "dc64a05dbe4b6be98148514be022be4c49869500612ebc18b35449c04bc36480"),
+        (
+            1,
+            ("--max-nodes", "5"),
+            "748d4026b79580ee097b64c8d1d60d026b17594e5ea431268a7ee87a2d452172",
+        ),
+    ],
+    ids=["framed", "raw", "raw-max-nodes-5"],
+)
+def test_inspect_report_is_pinned(snapshot_files, capsys, which, limits, digest):
+    assert run("list", "inspect", str(snapshot_files[which]), *limits) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_inspect_rejects_garbage(tmp_path, capsys):

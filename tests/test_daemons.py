@@ -1,7 +1,10 @@
 """Server and client daemons talking over real loopback sockets."""
 
+import gc
 import socket
+import threading
 import time
+import weakref
 import zlib
 from random import Random
 
@@ -395,6 +398,23 @@ def test_udp_listener_answers_queries(world_factory):
 
 
 # -- vote buffer and fallback policy ---------------------------------------------
+
+
+def test_stop_and_close_end_their_threads_and_free_the_daemons():
+    world = World(n_shufflers=0, n_plain=1)
+    client = world.clients["cli0"]
+    addr = client.start_dns_listener(port=0)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.settimeout(5.0)
+        sock.sendto(build_query(5, world.list_keys[0]), addr)
+        sock.recvfrom(4096)
+    threads = [world.server._accept_thread, client._udp_thread]
+    refs = [weakref.ref(world.server), weakref.ref(client)]
+    world.stop()
+    del world, client
+    gc.collect()
+    assert not set(threads) & set(threading.enumerate())
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_vote_buffer_rate_edges_and_dedup():

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from conftest import flat_resolve, random_defs
 from lluad.dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
 from lluad.poplist import (
-    CnameSlot,
     FormatError,
     IndexOutOfRange,
     InvariantViolation,
-    PoolSlot,
     RecordDef,
     UnknownRecord,
     apply_lb_update,
@@ -30,6 +28,7 @@ from lluad.poplist import (
     lookup,
     record_count,
     serialize,
+    wire_nodes,
 )
 
 
@@ -51,9 +50,10 @@ def cname(text, target):
 
 def test_single_child_chains_merge():
     plist = build_list([plain("mail.internal.example.com")])
-    assert len(plist.roots) == 1
-    assert plist.roots[0].labels == ("com", "example", "internal", "mail")
-    assert plist.roots[0].children == ()
+    nodes = wire_nodes(plist)
+    assert len(nodes) == 1
+    assert nodes[0].labels == ("com", "example", "internal", "mail")
+    assert nodes[0].children == 0
     assert record_count(plist) == 1
 
 
@@ -61,10 +61,12 @@ def test_shared_prefixes_split_nodes():
     plist = build_list(
         [plain("mail.example.com"), plain("www.example.com"), plain("example.com")]
     )
-    root = plist.roots[0]
+    root, *children = wire_nodes(plist)
     assert root.labels == ("com", "example")
-    assert len(root.slots) == 1  # example.com's own record
-    assert [c.labels for c in root.children] == [("mail",), ("www",)]
+    assert len(root.records) == 1  # example.com's own record
+    assert root.children == 2
+    assert [c.labels for c in children] == [("mail",), ("www",)]
+    assert [c.path for c in children] == [(0, 1), (0, 2)]
 
 
 def test_lookup_agrees_with_flat_resolver_on_random_sets():
@@ -311,12 +313,13 @@ def test_cname_slot_paths_survive_forward_references():
 
 def test_slots_ordered_by_type_code():
     defs = [
-        plain("dual.example", "192.0.2.4"),
         plain("dual.example", "2001:db8::4", RecordType.AAAA),
+        plain("dual.example", "192.0.2.4"),
     ]
     plist = build_list(defs)
-    node = plist.roots[0]
-    assert [s.answer.rtype for s in node.slots] == [RecordType.A, RecordType.AAAA]
+    node = wire_nodes(plist)[0]
+    assert [d.key.rtype for d in node.records] == [RecordType.A, RecordType.AAAA]
+    assert serialize(plist) == serialize(build_list(reversed(defs)))
 
 
 def test_pool_and_cname_slot_kinds_survive_round_trip():
@@ -333,13 +336,66 @@ def test_pool_and_cname_slot_kinds_survive_round_trip():
     assert again.pool.groups[0].current_index == 1
     assert node_types == {RecordType.A, RecordType.CNAME}
 
-    def walk(node):
-        yield from node.slots
-        for child in node.children:
-            yield from walk(child)
+    records = [d for node in wire_nodes(again) for d in node.records]
+    assert any(d.pool for d in records)
+    assert any(d.key.rtype == RecordType.CNAME for d in records)
+    assert serialize(again) == serialize(plist)
 
-    slot_kinds = {type(s) for root in again.roots for s in walk(root)}
-    assert PoolSlot in slot_kinds and CnameSlot in slot_kinds
+
+@st.composite
+def nested_record_sets(draw):
+    """`random_defs` sets, plus records at ancestors of their names and a
+    second address type at some names, so nodes nest and share slots."""
+    rng = draw(st.randoms(use_true_random=False))
+    defs = random_defs(
+        rng,
+        n_plain=rng.randint(0, 15),
+        n_lb=rng.randint(0, 5),
+        n_cname=rng.randint(0, 5),
+    )
+    names = {d.key.name for d in defs}
+    for d in list(defs):
+        labels = d.key.name.labels[:-1]
+        if labels and DomainName(labels) not in names and rng.random() < 0.3:
+            parent = DomainName(labels)
+            names.add(parent)
+            defs.append(RecordDef(RecordKey(parent, RecordType.A), bytes(4)))
+        if d.key.rtype == RecordType.A and not d.pool and rng.random() < 0.3:
+            defs.append(RecordDef(RecordKey(d.key.name, RecordType.AAAA), bytes(16)))
+    rng.shuffle(defs)  # the table's order must not matter
+    return defs
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_record_sets())
+def test_wire_nodes_are_the_merged_tree_in_preorder(defs):
+    plist = build_list(defs)
+    nodes = wire_nodes(plist)
+    full: list[tuple[str, ...]] = []
+    for i, node in enumerate(nodes):
+        assert node.path[-1] == i
+        parent = full[node.path[-2]] if len(node.path) > 1 else ()
+        full.append(parent + node.labels)
+        assert node.labels
+        assert node.records or node.children >= 2
+        rtypes = [d.key.rtype for d in node.records]
+        assert rtypes == sorted(rtypes)
+        assert all(d.key.name.labels == full[i] for d in node.records)
+        assert node.children == sum(n.path[:-1] == node.path for n in nodes)
+    # preorder with sorted children is the sorted order of the full names
+    assert full == sorted(full) and len(set(full)) == len(full)
+    # oracle: record names plus every name whose record names part ways
+    below: dict[tuple[str, ...], set[str]] = {}
+    for d in defs:
+        labels = d.key.name.labels
+        for n in range(1, len(labels)):
+            below.setdefault(labels[:n], set()).add(labels[n])
+    names = {d.key.name.labels for d in defs}
+    assert set(full) == names | {p for p, nxt in below.items() if len(nxt) >= 2}
+    assert sum(len(n.records) for n in nodes) == len(defs)
+    for compress in (False, True):
+        data = serialize(plist, compress=compress)
+        assert serialize(deserialize(data), compress=compress) == data
 
 
 # -- the record table against rebuild-from-records ---------------------------------
