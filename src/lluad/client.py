@@ -187,6 +187,11 @@ class SimulatedFallback:
         return build_response(txid, key, list(answers), self.ttl)
 
 
+def _join(thread: threading.Thread | None) -> None:
+    if thread is not None and thread is not threading.current_thread():
+        thread.join()
+
+
 def _header_only_reply(query: bytes, rcode: int) -> bytes | None:
     # salvage the transaction id so the stub can at least say SERVFAIL
     if len(query) < 2:
@@ -240,7 +245,7 @@ class LluadClient:
         self._reader: threading.Thread | None = None
         self._udp_sock: socket.socket | None = None
         self._udp_thread: threading.Thread | None = None
-        self._stopping = False
+        self._stopping = False  # the session is ending; the stub runs until close()
         self._cv = threading.Condition()
         # round state, owned by the reader thread
         self._round_ctx: RoundContext | None = None
@@ -267,20 +272,22 @@ class LluadClient:
             )
         sock.settimeout(None)
         self._stream = wire.FrameStream(sock)
-        self._stream.send(
-            wire.MSG_LIST_REQUEST,
-            wire.encode_list_request(self.client_id, self._token),
-        )
-        msg_type, body = self._stream.recv()
-        if msg_type == wire.MSG_ERROR:
-            code, message = wire.decode_error(body)
+        try:
+            self._stream.send(
+                wire.MSG_LIST_REQUEST,
+                wire.encode_list_request(self.client_id, self._token),
+            )
+            msg_type, body = self._stream.recv()
+            if msg_type == wire.MSG_ERROR:
+                raise AuthRejected(wire.decode_error(body)[1])
+            if msg_type != wire.MSG_LIST_SNAPSHOT:
+                raise wire.FrameError(f"expected snapshot, got 0x{msg_type:02x}")
+            plist = wire.decode_list_snapshot(body)
+        except (AuthRejected, wire.FrameError, wire.ConnectionClosed, OSError):
             self._stream.close()
-            raise AuthRejected(message)
-        if msg_type != wire.MSG_LIST_SNAPSHOT:
-            self._stream.close()
-            raise wire.FrameError(f"expected snapshot, got 0x{msg_type:02x}")
+            raise
         with self._list_lock:
-            self._plist = wire.decode_list_snapshot(body)
+            self._plist = plist
         self._stopping = False
         self._reader = threading.Thread(target=self._reader_loop, daemon=True)
         self._reader.start()
@@ -288,16 +295,18 @@ class LluadClient:
     def close(self) -> None:
         """Close the session and the stub listener, and wait for the
         threads reading them to end."""
+        self._close_session()
+        if self._udp_sock is not None:
+            wire.close_socket(self._udp_sock)
+        _join(self._udp_thread)
+
+    def _close_session(self) -> None:
         self._stopping = True
         if self._stream is not None:
             self._stream.close()
-        if self._udp_sock is not None:
-            wire.close_socket(self._udp_sock)
         with self._cv:
             self._cv.notify_all()
-        for thread in (self._reader, self._udp_thread):
-            if thread is not None and thread is not threading.current_thread():
-                thread.join()
+        _join(self._reader)
 
     @property
     def connected(self) -> bool:
@@ -309,8 +318,8 @@ class LluadClient:
 
     def reconnect(self, timeout: float = 10.0) -> None:
         """Drop the session and start fresh; state converges through the
-        new snapshot."""
-        self.close()
+        new snapshot.  The stub keeps answering from the list it has."""
+        self._close_session()
         self.connect(timeout=timeout)
 
     def resync(self) -> None:
@@ -332,32 +341,31 @@ class LluadClient:
             return self._plist
 
     def wait_for_generation(self, generation: int, timeout: float = 10.0) -> bool:
-        deadline = time.monotonic() + timeout
-        with self._cv:
-            while self.generation < generation:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stopping:
-                    return self.generation >= generation
-                self._cv.wait(timeout=remaining)
-        return True
+        return self._wait(lambda: self.generation >= generation, timeout)
 
     def wait_for_rounds(self, count: int, timeout: float = 30.0) -> bool:
+        return self._wait(lambda: self.rounds_participated >= count, timeout)
+
+    def _wait(self, done: Callable[[], bool], timeout: float) -> bool:
+        """Wait until `done()` holds, the session ends or `timeout`
+        passes, and say whether it holds."""
         deadline = time.monotonic() + timeout
         with self._cv:
-            while self.rounds_participated < count:
+            while not done():
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._stopping:
-                    return self.rounds_participated >= count
+                    return done()
                 self._cv.wait(timeout=remaining)
         return True
 
     # -- inbound frames ------------------------------------------------------
 
     def _reader_loop(self) -> None:
-        assert self._stream is not None
+        stream = self._stream
+        assert stream is not None
         try:
             while not self._stopping:
-                msg_type, body = self._stream.recv()
+                msg_type, body = stream.recv()
                 self._dispatch(msg_type, body)
         except (wire.ConnectionClosed, OSError):
             pass
@@ -365,6 +373,7 @@ class LluadClient:
             log.warning("client %s: bad frame from server: %s", self.client_id, exc)
         finally:
             self._stopping = True
+            stream.close()
             with self._cv:
                 self._cv.notify_all()
 
@@ -543,7 +552,7 @@ class LluadClient:
 
     def _udp_loop(self) -> None:
         assert self._udp_sock is not None
-        while not self._stopping:
+        while True:
             try:
                 data, peer = self._udp_sock.recvfrom(4096)
             except OSError:

@@ -33,6 +33,10 @@ section, built on first use, by `serialize` or by reading `roots`, once
 per membership: pointer rotations change no slot, so every list reached
 from another by rotations alone shares that bytes object, and a snapshot
 after a rotation encodes only the pool.
+
+`deserialize` reads the format back through `Reader`, the one
+bounds-checked reader for bytes a peer sends (`wire` reads its frame
+bodies with it too), and rejects any malformed input with `FormatError`.
 """
 
 from __future__ import annotations
@@ -43,13 +47,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
+from .dnsmsg import MAX_NAME_TEXT_LEN, DomainName, RecordAnswer, RecordKey, RecordType
 
 MAGIC = b"LLPL"
 VERSION = 1
 _FLAG_COMPRESSED = 0x01
 
 CNAME_CHAIN_LIMIT = 16
+# labels in the longest valid name: one-letter labels between dots
+_MAX_LABELS = (MAX_NAME_TEXT_LEN + 1) // 2
 
 
 class InvariantViolation(ValueError):
@@ -57,7 +63,7 @@ class InvariantViolation(ValueError):
 
 
 class FormatError(ValueError):
-    """Serialized bytes do not follow the list wire format."""
+    """Bytes do not follow the wire format, or a list is too large for it."""
 
 
 class IndexOutOfRange(LookupError):
@@ -471,16 +477,31 @@ def serialize(plist: PopularityList, compress: bool = False) -> bytes:
     return header + payload
 
 
-class _Reader:
+class Reader:
+    """Bounds-checked reads from a byte string a peer sent.
+
+    A short read raises FormatError.  As a context manager it also turns
+    any ValueError (a bad name, record or text) or zlib error raised in
+    its block into FormatError, so a decoder that reads inside one
+    returns or raises FormatError and nothing else."""
+
     __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
+    def __enter__(self) -> "Reader":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and not issubclass(kind, FormatError):
+            if issubclass(kind, (ValueError, zlib.error)):
+                raise FormatError(str(exc)) from exc
+
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise FormatError("truncated list data")
+            raise FormatError("truncated data")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -494,29 +515,42 @@ class _Reader:
     def u24(self) -> int:
         return int.from_bytes(self.take(3), "big")
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+    def u64(self) -> int:
+        return int.from_bytes(self.take(8), "big")
+
+    def short(self) -> bytes:
+        """A field of up to 255 bytes after its one-byte length."""
+        return self.take(self.take(1)[0])
+
+    def inflate(self) -> None:
+        """Replace the unread rest with its zlib decompression."""
+        self.data, self.pos = zlib.decompress(self.data[self.pos :]), 0
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise FormatError("trailing bytes")
 
 
 def deserialize(data: bytes, generation: int = 0) -> PopularityList:
-    """Decode the list wire format, validating structural invariants."""
-    if len(data) < 14:
-        raise FormatError("short header")
-    if data[:4] != MAGIC:
-        raise FormatError("bad magic")
-    if data[4] != VERSION:
-        raise FormatError(f"unsupported version {data[4]}")
-    flags = data[5]
-    records_declared = int.from_bytes(data[6:10], "big")
-    group_count = int.from_bytes(data[10:14], "big")
-    payload = data[14:]
-    if flags & _FLAG_COMPRESSED:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise FormatError(f"bad compressed payload: {exc}") from None
+    """Decode the list wire format, validating structural invariants.
+    Returns the list or raises FormatError."""
+    with Reader(data) as reader:
+        if reader.take(4) != MAGIC:
+            raise FormatError("bad magic")
+        version = reader.u8()
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}")
+        flags = reader.u8()
+        records_declared = int.from_bytes(reader.take(4), "big")
+        group_count = int.from_bytes(reader.take(4), "big")
+        if flags & _FLAG_COMPRESSED:
+            reader.inflate()
+        return _read_list(reader, records_declared, group_count, generation)
 
-    reader = _Reader(payload)
+
+def _read_list(
+    reader: Reader, records_declared: int, group_count: int, generation: int
+) -> PopularityList:
     names: list[tuple[str, ...]] = []  # preorder index -> full labels
     parents: list[int | None] = []
     table: dict[RecordKey, RecordDef] = {}
@@ -529,12 +563,6 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
             raise FormatError(f"record {d.key} appears twice")
         table[d.key] = d
 
-    def domain(labels: tuple[str, ...]) -> DomainName:
-        try:
-            return DomainName(labels)
-        except ValueError as exc:
-            raise FormatError(f"bad name: {exc}") from None
-
     def read_node(prefix: tuple[str, ...], parent: int | None) -> None:
         nonlocal records_seen
         index = len(names)
@@ -543,20 +571,21 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
             raise FormatError("node without labels")
         labels = []
         for _ in range(label_count):
-            n = reader.u8()
-            labels.append(reader.take(n).decode("ascii"))
+            labels.append(reader.short().decode("ascii"))
         full = prefix + tuple(labels)
+        if len(full) > _MAX_LABELS:  # also bounds the recursion
+            raise FormatError("name too long")
         names.append(full)
         parents.append(parent)
         slot_count = reader.u8()
-        name = domain(full) if slot_count else None
+        name = DomainName(full) if slot_count else None
         for _ in range(slot_count):
             kind = reader.u8()
             if kind == _KIND_INLINE:
                 rtype = RecordType.from_code(reader.u16())
                 if rtype == RecordType.CNAME:
                     raise FormatError("inline slot holds a CNAME")
-                put(RecordDef(RecordKey(name, rtype), reader.take(reader.u8())))
+                put(RecordDef(RecordKey(name, rtype), reader.short()))
             elif kind == _KIND_POOL:
                 entry = reader.u24()
                 if entry >= group_count:
@@ -589,7 +618,7 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
                 raise FormatError("reference path is not an ancestor chain")
         if parents[path[0]] is not None:
             raise FormatError("reference path must start at a top node")
-        return domain(names[path[-1]])
+        return DomainName(names[path[-1]])
 
     for ckey, path in cname_paths:
         put(RecordDef(ckey, resolve_path(path).wire))
@@ -603,7 +632,7 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
         current = reader.u8()
         if answer_count == 0 or current >= answer_count:
             raise FormatError("bad pool group counters")
-        answers = tuple(bytes(reader.take(reader.u8())) for _ in range(answer_count))
+        answers = tuple(bytes(reader.short()) for _ in range(answer_count))
         length = {len(a) for a in answers}
         if length == {4}:
             rtype = RecordType.A
@@ -611,9 +640,9 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
             rtype = RecordType.AAAA
         else:
             raise FormatError("pool answers must be uniformly 4 or 16 bytes")
-        groups.append((RecordKey(domain(names[node_ref]), rtype), answers, current))
-    if not reader.done():
-        raise FormatError("trailing bytes")
+        key = RecordKey(DomainName(names[node_ref]), rtype)
+        groups.append((key, answers, current))
+    reader.end()
 
     keys = [key.sort_key() for key, _, _ in groups]
     if keys != sorted(keys) or len(set(keys)) != len(keys):
@@ -627,8 +656,5 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
             raise FormatError("pool group points at a different name")
         put(RecordDef(key, answers[current], answers))
 
-    try:
-        _check(table, table.values())
-    except InvariantViolation as exc:
-        raise FormatError(str(exc)) from None
+    _check(table, table.values())
     return PopularityList(table, tuple(key for key, _, _ in groups), generation)

@@ -4,6 +4,11 @@ Every frame is `u32 big-endian length | u8 message type | body`, where
 the length counts the type byte plus the body.  Body codecs below are
 pure functions; socket plumbing lives in a small blocking stream class
 shared by both daemons.
+
+Every `decode_*` function returns a value or raises `FrameError`, which
+is `poplist.FormatError`: bodies are read with `poplist.Reader`, which
+turns a short read, a bad name or record, bad text and bad zlib data
+alike into that one error.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Sequence
 from .dnsmsg import DomainName, RecordKey, RecordType
 from .maintenance import LbUpdate, MembershipUpdate
 from .mixnet import DIGEST_LEN, PACKET_LEN, MisbehaviorReport, MixPacket, RoundContext
-from .poplist import PopularityList, RecordDef, deserialize, serialize
+from .poplist import FormatError, PopularityList, Reader, RecordDef, deserialize, serialize
 
 MSG_LIST_REQUEST = 0x01
 MSG_LIST_SNAPSHOT = 0x02
@@ -33,8 +38,7 @@ FRAME_HEADER_LEN = 5  # length field plus type byte
 MAX_FRAME_BODY = 1 << 26
 
 
-class FrameError(Exception):
-    """Malformed frame or body."""
+FrameError = FormatError
 
 
 class ConnectionClosed(Exception):
@@ -93,50 +97,10 @@ def close_socket(sock: socket.socket) -> None:
 # -- scalar helpers ----------------------------------------------------------
 
 
-def _need(body: bytes, offset: int, n: int) -> None:
-    if offset + n > len(body):
-        raise FrameError("truncated body")
-
-
-def _read_u8(body, offset):
-    _need(body, offset, 1)
-    return body[offset], offset + 1
-
-
-def _read_u16(body, offset):
-    _need(body, offset, 2)
-    return int.from_bytes(body[offset : offset + 2], "big"), offset + 2
-
-
-def _read_u24(body, offset):
-    _need(body, offset, 3)
-    return int.from_bytes(body[offset : offset + 3], "big"), offset + 3
-
-
-def _read_u64(body, offset):
-    _need(body, offset, 8)
-    return int.from_bytes(body[offset : offset + 8], "big"), offset + 8
-
-
-def _read_bytes(body, offset, n):
-    _need(body, offset, n)
-    return body[offset : offset + n], offset + n
-
-
-def _done(body: bytes, offset: int) -> None:
-    if offset != len(body):
-        raise FrameError("trailing bytes after body")
-
-
 def _enc_short_bytes(raw: bytes) -> bytes:
     if len(raw) > 0xFF:
         raise ValueError("field longer than 255 bytes")
     return bytes([len(raw)]) + raw
-
-
-def _read_short_bytes(body, offset):
-    n, offset = _read_u8(body, offset)
-    return _read_bytes(body, offset, n)
 
 
 # -- list request / snapshot -------------------------------------------------
@@ -149,13 +113,11 @@ def encode_list_request(client_id: str, token: str) -> bytes:
 
 
 def decode_list_request(body: bytes) -> tuple[str, str]:
-    cid, offset = _read_short_bytes(body, 0)
-    token, offset = _read_short_bytes(body, offset)
-    _done(body, offset)
-    try:
+    with Reader(body) as r:
+        cid = r.short()
+        token = r.short()
+        r.end()
         return cid.decode("utf-8"), token.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FrameError("credentials are not valid utf-8") from exc
 
 
 def encode_list_snapshot(plist: PopularityList) -> bytes:
@@ -165,8 +127,8 @@ def encode_list_snapshot(plist: PopularityList) -> bytes:
 
 
 def decode_list_snapshot(body: bytes) -> PopularityList:
-    generation, offset = _read_u64(body, 0)
-    return deserialize(body[offset:], generation=generation)
+    generation = Reader(body).u64()
+    return deserialize(body[8:], generation=generation)
 
 
 # -- incremental updates -------------------------------------------------------
@@ -185,14 +147,13 @@ def encode_lb_update(update: LbUpdate) -> bytes:
 
 
 def decode_lb_update(body: bytes) -> LbUpdate:
-    count, offset = _read_u16(body, 0)
-    entries = []
-    for _ in range(count):
-        raw, offset = _read_bytes(body, offset, LB_ENTRY_LEN)
-        idx_bytes, answer_offset = _LB_ENTRY.unpack(raw)
-        entries.append((int.from_bytes(idx_bytes, "big"), answer_offset))
-    _done(body, offset)
-    return LbUpdate(entries=tuple(entries))
+    with Reader(body) as r:
+        entries = []
+        for _ in range(r.u16()):
+            idx_bytes, answer_offset = _LB_ENTRY.unpack(r.take(LB_ENTRY_LEN))
+            entries.append((int.from_bytes(idx_bytes, "big"), answer_offset))
+        r.end()
+        return LbUpdate(entries=tuple(entries))
 
 
 def _enc_key(key: RecordKey) -> bytes:
@@ -201,14 +162,10 @@ def _enc_key(key: RecordKey) -> bytes:
     )
 
 
-def _read_key(body, offset):
-    code, offset = _read_u16(body, offset)
-    name, offset = _read_short_bytes(body, offset)
-    try:
-        key = RecordKey(DomainName.from_text(name.decode("ascii")), RecordType.from_code(code))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameError(f"bad record key: {exc}") from exc
-    return key, offset
+def _read_key(r: Reader) -> RecordKey:
+    rtype = RecordType.from_code(r.u16())
+    name = DomainName.from_text(r.short().decode("ascii"))
+    return RecordKey(name, rtype)
 
 
 def _enc_def(record: RecordDef) -> bytes:
@@ -219,19 +176,11 @@ def _enc_def(record: RecordDef) -> bytes:
     return out
 
 
-def _read_def(body, offset):
-    key, offset = _read_key(body, offset)
-    answer, offset = _read_short_bytes(body, offset)
-    pool_count, offset = _read_u8(body, offset)
-    pool = []
-    for _ in range(pool_count):
-        entry, offset = _read_short_bytes(body, offset)
-        pool.append(entry)
-    try:
-        record = RecordDef(key, answer, tuple(pool))
-    except Exception as exc:
-        raise FrameError(f"bad record definition: {exc}") from exc
-    return record, offset
+def _read_def(r: Reader) -> RecordDef:
+    key = _read_key(r)
+    answer = r.short()
+    pool = tuple(r.short() for _ in range(r.u8()))
+    return RecordDef(key, answer, pool)
 
 
 def encode_membership_update(update: MembershipUpdate) -> bytes:
@@ -245,22 +194,12 @@ def encode_membership_update(update: MembershipUpdate) -> bytes:
 
 
 def decode_membership_update(body: bytes) -> MembershipUpdate:
-    try:
-        plain = zlib.decompress(body)
-    except zlib.error as exc:
-        raise FrameError("membership body is not valid zlib data") from exc
-    count, offset = _read_u16(plain, 0)
-    removals = []
-    for _ in range(count):
-        key, offset = _read_key(plain, offset)
-        removals.append(key)
-    count, offset = _read_u16(plain, offset)
-    additions = []
-    for _ in range(count):
-        record, offset = _read_def(plain, offset)
-        additions.append(record)
-    _done(plain, offset)
-    return MembershipUpdate(removals=tuple(removals), additions=tuple(additions))
+    with Reader(body) as r:
+        r.inflate()
+        removals = tuple(_read_key(r) for _ in range(r.u16()))
+        additions = tuple(_read_def(r) for _ in range(r.u16()))
+        r.end()
+        return MembershipUpdate(removals=removals, additions=additions)
 
 
 # -- voting round messages -----------------------------------------------------
@@ -276,14 +215,12 @@ def encode_round_start(ctx: RoundContext) -> bytes:
 
 
 def decode_round_start(body: bytes) -> RoundContext:
-    t_timestamp, offset = _read_u64(body, 0)
-    n_shuffle, offset = _read_u8(body, offset)
-    avail_len, offset = _read_u16(body, offset)
-    availability, offset = _read_bytes(body, offset, avail_len)
-    _done(body, offset)
-    if n_shuffle < 1:
-        raise FrameError("round must have at least one hop")
-    return RoundContext(t_timestamp, availability, n_shuffle)
+    with Reader(body) as r:
+        t_timestamp = r.u64()
+        n_shuffle = r.u8()
+        availability = r.take(r.u16())
+        r.end()
+        return RoundContext(t_timestamp, availability, n_shuffle)
 
 
 def encode_packet_batch(packets: Sequence[MixPacket]) -> bytes:
@@ -294,13 +231,10 @@ def encode_packet_batch(packets: Sequence[MixPacket]) -> bytes:
 
 
 def decode_packet_batch(body: bytes) -> list[MixPacket]:
-    count, offset = _read_u16(body, 0)
-    packets = []
-    for _ in range(count):
-        raw, offset = _read_bytes(body, offset, PACKET_LEN)
-        packets.append(MixPacket.from_bytes(raw))
-    _done(body, offset)
-    return packets
+    with Reader(body) as r:
+        packets = [MixPacket.from_bytes(r.take(PACKET_LEN)) for _ in range(r.u16())]
+        r.end()
+        return packets
 
 
 def encode_misbehavior_report(report: MisbehaviorReport) -> bytes:
@@ -316,14 +250,11 @@ def encode_misbehavior_report(report: MisbehaviorReport) -> bytes:
 
 
 def decode_misbehavior_report(body: bytes) -> MisbehaviorReport:
-    t_timestamp, offset = _read_u64(body, 0)
-    count, offset = _read_u8(body, offset)
-    path = []
-    for _ in range(count):
-        j, offset = _read_u24(body, offset)
-        path.append(j)
-    _done(body, offset)
-    return MisbehaviorReport(t_timestamp, tuple(path))
+    with Reader(body) as r:
+        t_timestamp = r.u64()
+        path = tuple(r.u24() for _ in range(r.u8()))
+        r.end()
+        return MisbehaviorReport(t_timestamp, path)
 
 
 def encode_hash_request(digests: Iterable[bytes]) -> bytes:
@@ -337,13 +268,10 @@ def encode_hash_request(digests: Iterable[bytes]) -> bytes:
 
 
 def decode_hash_request(body: bytes) -> tuple[bytes, ...]:
-    count, offset = _read_u16(body, 0)
-    digests = []
-    for _ in range(count):
-        digest, offset = _read_bytes(body, offset, DIGEST_LEN)
-        digests.append(digest)
-    _done(body, offset)
-    return tuple(digests)
+    with Reader(body) as r:
+        digests = tuple(r.take(DIGEST_LEN) for _ in range(r.u16()))
+        r.end()
+        return digests
 
 
 def encode_error(code: int, message: str) -> bytes:
@@ -351,5 +279,5 @@ def encode_error(code: int, message: str) -> bytes:
 
 
 def decode_error(body: bytes) -> tuple[int, str]:
-    code, offset = _read_u8(body, 0)
-    return code, body[offset:].decode("utf-8", errors="replace")
+    code = Reader(body).u8()
+    return code, body[1:].decode("utf-8", errors="replace")

@@ -1,6 +1,7 @@
 """Server and client daemons talking over real loopback sockets."""
 
 import gc
+import logging
 import socket
 import threading
 import time
@@ -36,6 +37,7 @@ from lluad.maintenance import (
     UpstreamFailure,
 )
 from lluad.mixnet import AckOutcome, record_digest, select_shufflers
+from lluad.poplist import serialize
 from lluad.server import ClientRegistry, LluadServer, RegistryError
 
 
@@ -395,6 +397,69 @@ def test_udp_listener_answers_queries(world_factory):
     response = parse_response(data)
     assert response.txid == 77
     assert response.answers[0].data == world.table[key].answers[0]
+
+
+def ask(addr, key: RecordKey, txid: int):
+    """One query to a stub over UDP: the parsed reply, or None after 1 s."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.settimeout(1.0)
+        sock.sendto(build_query(txid, key), addr)
+        try:
+            return parse_response(sock.recvfrom(4096)[0])
+        except socket.timeout:
+            return None
+
+
+def assert_stub_answers(client, world, times: int = 3) -> None:
+    key = world.list_keys[0]
+    for txid in range(times):
+        response = ask(client.dns_address, key, txid)
+        assert response is not None, f"query {txid} got no answer"
+        assert response.answers[0].data == world.table[key].answers[0]
+
+
+def test_undecodable_first_snapshot_closes_the_connection(world_factory, monkeypatch):
+    world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
+    monkeypatch.setattr(wire, "encode_list_snapshot", lambda plist: bytes(8) + b"LLPL")
+    client = world.make_client("cli0")
+    with pytest.raises(wire.FrameError):
+        client.connect()
+    # the server drops the session only once the client has closed it
+    assert wait_until(lambda: "cli0" not in world.server._sessions)
+
+
+def test_stub_keeps_answering_across_reconnect_and_server_stop(world_factory):
+    world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
+    client = world.clients["cli0"]
+    client.start_dns_listener(port=0)
+    assert_stub_answers(client, world)
+    client.reconnect()
+    assert client.connected
+    assert_stub_answers(client, world)
+    world.server.stop()
+    assert wait_until(lambda: not client.connected)
+    assert_stub_answers(client, world)
+
+
+def test_undecodable_snapshot_ends_the_session_and_the_stub_keeps_answering(
+    world_factory, monkeypatch, caplog
+):
+    world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
+    client = world.clients["cli0"]
+    client.start_dns_listener(port=0)
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    snapshot = bytearray(serialize(world.maintainer.plist))
+    snapshot[16] = 0xFF  # first byte of the first label: not ascii
+    bad = world.maintainer.generation.to_bytes(8, "big") + bytes(snapshot)
+    with caplog.at_level(logging.WARNING, logger="lluad.client"):
+        world.server._sessions["cli0"].send(wire.MSG_LIST_SNAPSHOT, bad)
+        assert wait_until(lambda: not client.connected)
+    assert "bad frame from server" in caplog.text
+    assert wait_until(lambda: "cli0" not in world.server._sessions)
+    assert crashes == []
+    assert client.generation == world.maintainer.generation
+    assert_stub_answers(client, world)
 
 
 # -- vote buffer and fallback policy ---------------------------------------------

@@ -561,3 +561,12 @@ def test_deserialize_rejects_a_record_named_twice():
     with pytest.raises(FormatError):  # the same name reached by two nodes
         top = node + bytes([1]) + answer + bytes(2)
         deserialize(snapshot(2, top + top))
+
+
+def test_deserialize_rejects_nesting_deeper_than_any_name():
+    # 3000 nested one-label nodes without records: deeper than the longest
+    # valid name, and than the interpreter's recursion limit
+    node = bytes([1, 1]) + b"a" + bytes([0]) + (1).to_bytes(2, "big")
+    data = b"LLPL" + bytes([1, 0]) + (1).to_bytes(4, "big") + bytes(4) + node * 3000
+    with pytest.raises(FormatError):
+        deserialize(data)

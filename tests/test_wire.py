@@ -3,13 +3,16 @@
 import random
 import socket
 import threading
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lluad.dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
 from lluad.maintenance import LbUpdate, MembershipUpdate
 from lluad.mixnet import MisbehaviorReport, MixPacket, RoundContext
-from lluad.poplist import RecordDef, build_list
+from lluad.poplist import FormatError, RecordDef, build_list, deserialize, serialize
 from lluad import wire
 
 from conftest import random_defs
@@ -138,3 +141,77 @@ def test_hash_request_round_trip():
 def test_error_round_trip():
     code, message = wire.decode_error(wire.encode_error(3, "bad auth"))
     assert (code, message) == (3, "bad auth")
+
+
+# -- decoders meet mutated bytes -----------------------------------------------
+
+
+def _decode_membership_past_zlib(plain: bytes) -> MembershipUpdate:
+    """So that mutations reach the records, not only the zlib stream."""
+    return wire.decode_membership_update(zlib.compress(plain))
+
+
+def _valid_encodings():
+    """(decoder, valid input) pairs: every decoder a peer's bytes reach."""
+    defs = [
+        RecordDef(key("plain.example"), RecordAnswer.a("192.0.2.1").data),
+        RecordDef(key("six.plain.example", RecordType.AAAA), bytes(range(16))),
+        RecordDef(
+            key("pooled.example"),
+            RecordAnswer.a("10.0.0.2").data,
+            (RecordAnswer.a("10.0.0.1").data, RecordAnswer.a("10.0.0.2").data),
+        ),
+        RecordDef(
+            key("alias.example", RecordType.CNAME),
+            RecordAnswer.cname(DomainName.from_text("plain.example")).data,
+        ),
+    ]
+    plist = build_list(defs, generation=7)
+    update = MembershipUpdate(removals=(key("gone.example"),), additions=tuple(defs))
+    membership_plain = zlib.decompress(wire.encode_membership_update(update))
+    rng = random.Random(3)
+    packets = [MixPacket(rng.randbytes(32), rng.randbytes(16), rng.randbytes(32))]
+    ctx = RoundContext.for_online(2**40, [0, 5, 12], 16, n_shuffle=3)
+    return [
+        (deserialize, serialize(plist)),
+        (deserialize, serialize(plist, compress=True)),
+        (wire.decode_list_snapshot, wire.encode_list_snapshot(plist)),
+        (wire.decode_list_request, wire.encode_list_request("client-7", "tok")),
+        (wire.decode_lb_update, wire.encode_lb_update(LbUpdate(((0, 1), (9, -2))))),
+        (wire.decode_membership_update, wire.encode_membership_update(update)),
+        (_decode_membership_past_zlib, membership_plain),
+        (wire.decode_round_start, wire.encode_round_start(ctx)),
+        (wire.decode_packet_batch, wire.encode_packet_batch(packets)),
+        (
+            wire.decode_misbehavior_report,
+            wire.encode_misbehavior_report(MisbehaviorReport(99, (0, 17, 300))),
+        ),
+        (wire.decode_hash_request, wire.encode_hash_request([bytes(29), b"\x01" * 29])),
+        (wire.decode_error, wire.encode_error(3, "bad auth")),
+    ]
+
+
+@st.composite
+def mutated_encodings(draw):
+    decode, valid = draw(st.sampled_from(_valid_encodings()))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["flip", "delete", "insert"]))
+        if edit == "insert":
+            data.insert(at, draw(st.integers(0, 255)))
+        elif at < len(data) and edit == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif at < len(data):
+            del data[at]
+    return decode, bytes(data)
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(mutated_encodings())
+def test_decoders_return_or_raise_format_error(case):
+    decode, data = case
+    try:
+        decode(data)
+    except FormatError:
+        pass
