@@ -8,13 +8,25 @@ hand the raw query to the fallback transport.  EDNS options are ignored.
 Names are stored least-significant-label first ("com", "example", "www"),
 which matches how the popularity tree is walked; text and wire forms use
 the conventional order.
+
+`DomainName` and `RecordKey` are immutable tuple subclasses (a name is the
+1-tuple of its label tuple, a key the pair of its name and type), because
+every list path looks records up in dicts keyed by them: hashing,
+equality and field access run in C.  Their hashes equal those of the
+frozen dataclasses they replace, `hash((labels,))` and
+`hash((name, rtype))`, so set orders, rng draws and every output stay
+the same under any PYTHONHASHSEED.  Being tuples, they compare equal to
+the plain tuple of their fields: `RecordKey(n, t) == (n, t)`.  Keys order
+by `sort_key` under all four comparison operators; names have no order.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import socket
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 MAX_NAME_TEXT_LEN = 253
@@ -49,22 +61,24 @@ class RecordType(enum.IntEnum):
             raise UnsupportedType(f"record type {code} not supported") from None
 
 
-@dataclass(frozen=True)
-class DomainName:
+class DomainName(namedtuple("DomainName", "labels")):
     """A validated lowercase domain name, TLD label first."""
 
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.labels:
+    def __new__(cls, labels: tuple[str, ...]) -> "DomainName":
+        if not labels:
             raise ValueError("empty name (root is not representable here)")
-        for label in self.labels:
+        text_len = len(labels) - 1  # the dots
+        for label in labels:
             if not 1 <= len(label) <= MAX_LABEL_LEN:
                 raise ValueError(f"label length out of range: {label!r}")
-            if not set(label) <= _LABEL_CHARS:
+            if not _LABEL_CHARS.issuperset(label):
                 raise ValueError(f"label has unsupported characters: {label!r}")
-        if len(self.dotted) > MAX_NAME_TEXT_LEN:
+            text_len += len(label)
+        if text_len > MAX_NAME_TEXT_LEN:
             raise ValueError("name too long")
+        return tuple.__new__(cls, (labels,))
 
     @classmethod
     def from_text(cls, text: str) -> "DomainName":
@@ -75,16 +89,12 @@ class DomainName:
 
     @classmethod
     def from_wire_labels(cls, labels: list[bytes]) -> "DomainName":
-        try:
-            decoded = [lb.decode("ascii").lower() for lb in labels]
-        except UnicodeDecodeError:
-            raise UnsupportedType("non-ASCII label") from None
-        for lb in decoded:
-            if not set(lb) <= _LABEL_CHARS:
-                raise UnsupportedType(f"label has unsupported characters: {lb!r}")
-        if not decoded:
+        if not labels:
             raise UnsupportedType("root name not served locally")
-        return cls(tuple(reversed(decoded)))
+        try:
+            return cls(tuple(lb.decode("ascii").lower() for lb in reversed(labels)))
+        except ValueError as exc:  # non-ASCII or unsupported characters
+            raise UnsupportedType(str(exc)) from None
 
     @property
     def dotted(self) -> str:
@@ -103,20 +113,33 @@ class DomainName:
     def __str__(self) -> str:
         return self.dotted
 
+    # names have no order; the tuple base would order them by labels
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
 
-@dataclass(frozen=True)
-class RecordKey:
+
+def _by_sort_key(op):
+    def compare(self, other):
+        if not isinstance(other, RecordKey):
+            return NotImplemented
+        return op(self.sort_key(), other.sort_key())
+
+    return compare
+
+
+class RecordKey(namedtuple("RecordKey", "name rtype")):
     """What a query asks for and what list records are filed under."""
 
-    name: DomainName
-    rtype: RecordType
+    __slots__ = ()
 
     def sort_key(self) -> tuple[bytes, int]:
         # canonical order: dotted lowercase name bytes, then type code
         return (self.name.dotted.encode("ascii"), int(self.rtype))
 
-    def __lt__(self, other: "RecordKey") -> bool:
-        return self.sort_key() < other.sort_key()
+    # all four orders by sort_key, not by the tuple base's order
+    __lt__ = _by_sort_key(operator.lt)
+    __le__ = _by_sort_key(operator.le)
+    __gt__ = _by_sort_key(operator.gt)
+    __ge__ = _by_sort_key(operator.ge)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import socket
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Mapping, Protocol
+from typing import Collection, Iterable, Mapping, Protocol
 
 from .dnsmsg import (
     DomainName,
@@ -172,7 +172,7 @@ class ScoreBoard:
                 del scores[key]
 
     def top(
-        self, round_index: int, n: int, incumbents: frozenset[RecordKey]
+        self, round_index: int, n: int, incumbents: Collection[RecordKey]
     ) -> list[RecordKey]:
         """Rank by effective score; ties keep incumbents, then fall back to
         canonical key order so the result is deterministic."""
@@ -352,11 +352,10 @@ class Maintainer:
         self.round_index += 1
         self.scores.apply_round(self.round_index, self._tallies)
         self._tallies = Counter()
-        # frozensets built from dicts reuse the stored hashes
-        before = frozenset(self._rank)
+        before = self._rank.keys()
         top = self.scores.top(self.round_index, self.cfg.n_popular, before)
         self._rank = {key: i for i, key in enumerate(top)}
-        after = frozenset(self._rank)
+        after = self._rank.keys()
         left, entered = before - after, after - before
         try:
             defs = _Draft(self.plist.records, self._stale)

@@ -37,6 +37,11 @@ after a rotation encodes only the pool.
 `deserialize` reads the format back through `Reader`, the one
 bounds-checked reader for bytes a peer sends (`wire` reads its frame
 bodies with it too), and rejects any malformed input with `FormatError`.
+It also rejects every encoding `serialize` would not produce (unknown
+flag bits, siblings out of label order, a node that holds no record and
+does not branch, slots out of type order), so each list has one
+uncompressed byte string; only the zlib stream of a compressed one may
+vary.
 """
 
 from __future__ import annotations
@@ -526,8 +531,11 @@ class Reader:
         """Replace the unread rest with its zlib decompression."""
         self.data, self.pos = zlib.decompress(self.data[self.pos :]), 0
 
+    def at_end(self) -> bool:
+        return self.pos == len(self.data)
+
     def end(self) -> None:
-        if self.pos != len(self.data):
+        if not self.at_end():
             raise FormatError("trailing bytes")
 
 
@@ -541,6 +549,8 @@ def deserialize(data: bytes, generation: int = 0) -> PopularityList:
         if version != VERSION:
             raise FormatError(f"unsupported version {version}")
         flags = reader.u8()
+        if flags & ~_FLAG_COMPRESSED:
+            raise FormatError(f"unknown flags {flags:#04x}")
         records_declared = int.from_bytes(reader.take(4), "big")
         group_count = int.from_bytes(reader.take(4), "big")
         if flags & _FLAG_COMPRESSED:
@@ -556,6 +566,7 @@ def _read_list(
     table: dict[RecordKey, RecordDef] = {}
     cname_paths: list[tuple[RecordKey, tuple[int, ...]]] = []
     pool_nodes: dict[int, int] = {}  # pool entry -> node index of its slot
+    multi_slot: list[list[int]] = []  # slot types of nodes with several
     records_seen = 0
 
     def put(d: RecordDef) -> None:
@@ -563,7 +574,11 @@ def _read_list(
             raise FormatError(f"record {d.key} appears twice")
         table[d.key] = d
 
-    def read_node(prefix: tuple[str, ...], parent: int | None) -> None:
+    def read_node(
+        prefix: tuple[str, ...], parent: int | None, after: str | None
+    ) -> str:
+        """Read one node and its subtree; returns its first label, which
+        must sort after `after`, the previous sibling's."""
         nonlocal records_seen
         index = len(names)
         label_count = reader.u8()
@@ -572,6 +587,8 @@ def _read_list(
         labels = []
         for _ in range(label_count):
             labels.append(reader.short().decode("ascii"))
+        if after is not None and labels[0] <= after:
+            raise FormatError("siblings not in label order")
         full = prefix + tuple(labels)
         if len(full) > _MAX_LABELS:  # also bounds the recursion
             raise FormatError("name too long")
@@ -579,6 +596,7 @@ def _read_list(
         parents.append(parent)
         slot_count = reader.u8()
         name = DomainName(full) if slot_count else None
+        types = []  # type code per slot; ~entry for a pool slot
         for _ in range(slot_count):
             kind = reader.u8()
             if kind == _KIND_INLINE:
@@ -586,6 +604,7 @@ def _read_list(
                 if rtype == RecordType.CNAME:
                     raise FormatError("inline slot holds a CNAME")
                 put(RecordDef(RecordKey(name, rtype), reader.short()))
+                types.append(rtype)
             elif kind == _KIND_POOL:
                 entry = reader.u24()
                 if entry >= group_count:
@@ -593,19 +612,29 @@ def _read_list(
                 if entry in pool_nodes:
                     raise FormatError("pool entries and slots do not match one-to-one")
                 pool_nodes[entry] = index
+                types.append(~entry)
             elif kind == _KIND_CNAME:
                 path = tuple(reader.u24() for _ in range(reader.u8()))
                 if not path:
                     raise FormatError("empty reference path")
                 cname_paths.append((RecordKey(name, RecordType.CNAME), path))
+                types.append(RecordType.CNAME)
             else:
                 raise FormatError(f"unknown slot kind {kind}")
             records_seen += 1
-        for _ in range(reader.u16()):
-            read_node(full, index)
+        if len(types) > 1:
+            multi_slot.append(types)
+        children = reader.u16()
+        if not slot_count and children < 2:
+            raise FormatError("node holds no record and does not branch")
+        first = None
+        for _ in range(children):
+            first = read_node(full, index, first)
+        return labels[0]
 
+    top = None
     while records_seen < records_declared:
-        read_node((), None)
+        top = read_node((), None, top)
     if records_seen != records_declared:
         raise FormatError("record count mismatch")
 
@@ -655,6 +684,10 @@ def _read_list(
         if key.name.labels != names[pool_nodes[entry]]:
             raise FormatError("pool group points at a different name")
         put(RecordDef(key, answers[current], answers))
+    for types in multi_slot:
+        codes = [int(groups[~t][0].rtype) if t < 0 else int(t) for t in types]
+        if codes != sorted(set(codes)):
+            raise FormatError("slots not in type order")
 
     _check(table, table.values())
     return PopularityList(table, tuple(key for key, _, _ in groups), generation)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import socket
 import struct
 import zlib
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .dnsmsg import DomainName, RecordKey, RecordType
 from .maintenance import LbUpdate, MembershipUpdate
@@ -103,6 +103,51 @@ def _enc_short_bytes(raw: bytes) -> bytes:
     return bytes([len(raw)]) + raw
 
 
+# -- counted item lists --------------------------------------------------------
+#
+# A message body holds one or more lists of items, each under a u16
+# count.  A list longer than 65 535 items goes in runs: the body is a
+# sequence of blocks read to its end, block i holding run i of every list
+# (65 535 items, or what is left, or none).  So a message whose lists all
+# fit one count is one block, with the bytes it has always had.
+
+_RUN = 0xFFFF
+
+
+def _block_counts(*lengths: int) -> list[tuple[int, ...]]:
+    blocks = max(1, *(-(-n // _RUN) for n in lengths))
+    return [
+        tuple(min(_RUN, max(0, n - i * _RUN)) for n in lengths) for i in range(blocks)
+    ]
+
+
+def _enc_blocks(*lists: tuple[Sequence, Callable]) -> bytes:
+    """Encode each (items, encode one item) list in blocks."""
+    out = bytearray()
+    for i, counts in enumerate(_block_counts(*(len(items) for items, _ in lists))):
+        for (items, enc), count in zip(lists, counts):
+            out += count.to_bytes(2, "big")
+            for item in items[i * _RUN : i * _RUN + count]:
+                out += enc(item)
+    return bytes(out)
+
+
+def _read_blocks(r: Reader, *read_items: Callable[[Reader], object]) -> list[list]:
+    """Read blocks to the end of the body: one list per item reader."""
+    lists: list[list] = [[] for _ in read_items]
+    counts = []
+    while not counts or not r.at_end():
+        row = []
+        for items, read in zip(lists, read_items):
+            count = r.u16()
+            items.extend(read(r) for _ in range(count))
+            row.append(count)
+        counts.append(tuple(row))
+    if counts != _block_counts(*map(len, lists)):
+        raise FrameError("item counts not split into runs as the encoder does")
+    return lists
+
+
 # -- list request / snapshot -------------------------------------------------
 
 
@@ -137,22 +182,25 @@ _LB_ENTRY = struct.Struct("!3sh")
 LB_ENTRY_LEN = 5
 
 
+def _enc_lb_entry(entry: tuple[int, int]) -> bytes:
+    entry_index, offset = entry
+    if not 0 <= entry_index < 1 << 24:
+        raise ValueError("pool entry index out of range")
+    return _LB_ENTRY.pack(entry_index.to_bytes(3, "big"), offset)
+
+
+def _read_lb_entry(r: Reader) -> tuple[int, int]:
+    idx_bytes, offset = _LB_ENTRY.unpack(r.take(LB_ENTRY_LEN))
+    return int.from_bytes(idx_bytes, "big"), offset
+
+
 def encode_lb_update(update: LbUpdate) -> bytes:
-    out = bytearray(len(update.entries).to_bytes(2, "big"))
-    for entry_index, offset in update.entries:
-        if not 0 <= entry_index < 1 << 24:
-            raise ValueError("pool entry index out of range")
-        out += _LB_ENTRY.pack(entry_index.to_bytes(3, "big"), offset)
-    return bytes(out)
+    return _enc_blocks((update.entries, _enc_lb_entry))
 
 
 def decode_lb_update(body: bytes) -> LbUpdate:
     with Reader(body) as r:
-        entries = []
-        for _ in range(r.u16()):
-            idx_bytes, answer_offset = _LB_ENTRY.unpack(r.take(LB_ENTRY_LEN))
-            entries.append((int.from_bytes(idx_bytes, "big"), answer_offset))
-        r.end()
+        (entries,) = _read_blocks(r, _read_lb_entry)
         return LbUpdate(entries=tuple(entries))
 
 
@@ -184,22 +232,15 @@ def _read_def(r: Reader) -> RecordDef:
 
 
 def encode_membership_update(update: MembershipUpdate) -> bytes:
-    plain = bytearray(len(update.removals).to_bytes(2, "big"))
-    for key in update.removals:
-        plain += _enc_key(key)
-    plain += len(update.additions).to_bytes(2, "big")
-    for record in update.additions:
-        plain += _enc_def(record)
-    return zlib.compress(bytes(plain), 6)
+    plain = _enc_blocks((update.removals, _enc_key), (update.additions, _enc_def))
+    return zlib.compress(plain, 6)
 
 
 def decode_membership_update(body: bytes) -> MembershipUpdate:
     with Reader(body) as r:
         r.inflate()
-        removals = tuple(_read_key(r) for _ in range(r.u16()))
-        additions = tuple(_read_def(r) for _ in range(r.u16()))
-        r.end()
-        return MembershipUpdate(removals=removals, additions=additions)
+        removals, additions = _read_blocks(r, _read_key, _read_def)
+        return MembershipUpdate(removals=tuple(removals), additions=tuple(additions))
 
 
 # -- voting round messages -----------------------------------------------------
@@ -224,16 +265,16 @@ def decode_round_start(body: bytes) -> RoundContext:
 
 
 def encode_packet_batch(packets: Sequence[MixPacket]) -> bytes:
-    out = bytearray(len(packets).to_bytes(2, "big"))
-    for pkt in packets:
-        out += pkt.to_bytes()
-    return bytes(out)
+    return _enc_blocks((packets, MixPacket.to_bytes))
+
+
+def _read_packet(r: Reader) -> MixPacket:
+    return MixPacket.from_bytes(r.take(PACKET_LEN))
 
 
 def decode_packet_batch(body: bytes) -> list[MixPacket]:
     with Reader(body) as r:
-        packets = [MixPacket.from_bytes(r.take(PACKET_LEN)) for _ in range(r.u16())]
-        r.end()
+        (packets,) = _read_blocks(r, _read_packet)
         return packets
 
 
@@ -257,21 +298,24 @@ def decode_misbehavior_report(body: bytes) -> MisbehaviorReport:
         return MisbehaviorReport(t_timestamp, path)
 
 
+def _enc_digest(digest: bytes) -> bytes:
+    if len(digest) != DIGEST_LEN:
+        raise ValueError(f"digest must be {DIGEST_LEN} bytes")
+    return digest
+
+
+def _read_digest(r: Reader) -> bytes:
+    return r.take(DIGEST_LEN)
+
+
 def encode_hash_request(digests: Iterable[bytes]) -> bytes:
-    items = list(digests)
-    out = bytearray(len(items).to_bytes(2, "big"))
-    for digest in items:
-        if len(digest) != DIGEST_LEN:
-            raise ValueError(f"digest must be {DIGEST_LEN} bytes")
-        out += digest
-    return bytes(out)
+    return _enc_blocks((list(digests), _enc_digest))
 
 
 def decode_hash_request(body: bytes) -> tuple[bytes, ...]:
     with Reader(body) as r:
-        digests = tuple(r.take(DIGEST_LEN) for _ in range(r.u16()))
-        r.end()
-        return digests
+        (digests,) = _read_blocks(r, _read_digest)
+        return tuple(digests)
 
 
 def encode_error(code: int, message: str) -> bytes:

@@ -2,6 +2,9 @@
 independently written mini-parser (different traversal style on purpose,
 so a shared misreading of the format would have to happen twice)."""
 
+import copy
+import operator
+import pickle
 import struct
 
 import pytest
@@ -304,3 +307,73 @@ def test_response_round_trip_property(name, ttl, data):
     assert parsed.answers[0].owner == name
     assert parsed.answers[0].ttl == ttl
     assert parsed.answers[0].data == data
+
+
+# -- names and keys as values ----------------------------------------------------
+
+_key = st.builds(RecordKey, _name, st.sampled_from(list(RecordType)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(_key, min_size=1, max_size=8))
+def test_names_and_keys_behave_as_the_values_they_replaced(keys):
+    for k in keys:
+        n = k.name
+        # the hash the frozen dataclasses had: set orders and outputs
+        # depend on it
+        assert hash(n) == hash((n.labels,))
+        assert hash(k) == hash((k.name, k.rtype))
+        assert k == (n, k.rtype) and n == (n.labels,)
+        assert repr(n) == f"DomainName(labels={n.labels!r})"
+        assert repr(k) == str(k) == f"RecordKey(name={n!r}, rtype={k.rtype!r})"
+        assert str(n) == ".".join(reversed(n.labels))
+        assert DomainName.from_text(str(n)) == n
+        for twin in (pickle.loads(pickle.dumps(k)), copy.copy(k), copy.deepcopy(k)):
+            assert twin == k and type(twin) is RecordKey and type(twin.name) is DomainName
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(n, n)
+    assert sorted(keys) == sorted(keys, key=RecordKey.sort_key)
+    for a in keys:
+        for b in keys:
+            assert (a < b) == (a.sort_key() < b.sort_key())
+            assert (a <= b) == (a.sort_key() <= b.sort_key())
+            assert (a > b) == (a.sort_key() > b.sort_key())
+            assert (a >= b) == (a.sort_key() >= b.sort_key())
+
+
+_bad_label = st.one_of(
+    st.just(""),
+    st.text(alphabet="abc", min_size=64, max_size=70),
+    st.text(min_size=1, max_size=8).filter(
+        lambda t: not set(t) <= set("abcdefghijklmnopqrstuvwxyz0123456789-_")
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    good=st.lists(_label, max_size=3),
+    bad=_bad_label,
+    at=st.integers(0, 3),
+)
+def test_invalid_names_raise_the_same_error_types(good, bad, at):
+    labels = tuple(good[:at]) + (bad,) + tuple(good[at:])
+    with pytest.raises(ValueError) as raised:
+        DomainName(labels)
+    assert type(raised.value) is ValueError
+    if not 1 <= len(bad) <= 63 or bad.lower() != bad:
+        return  # the wire parser reads no such label; it lowercases first
+    with pytest.raises(UnsupportedType):
+        DomainName.from_wire_labels([label.encode() for label in reversed(labels)])
+
+
+def test_empty_and_overlong_names_raise_value_error():
+    for labels in [(), ("a" * 63,) * 4, ("a",) * 128]:
+        with pytest.raises(ValueError) as raised:
+            DomainName(labels)
+        assert type(raised.value) is ValueError
+    assert len(DomainName(("a" * 63,) * 3 + ("a" * 61,)).dotted) == 253
+    assert len(DomainName(("a",) * 127).dotted) == 253
+    with pytest.raises(UnsupportedType):
+        DomainName.from_wire_labels([])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lluad.dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
-from lluad.maintenance import LbUpdate, MembershipUpdate
+from lluad.maintenance import LbUpdate, MembershipUpdate, apply_update
 from lluad.mixnet import MisbehaviorReport, MixPacket, RoundContext
 from lluad.poplist import FormatError, RecordDef, build_list, deserialize, serialize
 from lluad import wire
@@ -143,6 +143,69 @@ def test_error_round_trip():
     assert (code, message) == (3, "bad auth")
 
 
+# -- counts past 16 bits -----------------------------------------------------------
+
+
+def _a_records(n, salt):
+    return [
+        RecordDef(
+            RecordKey(DomainName(("example", f"g{i >> 8}", f"r{i & 0xFF}")), RecordType.A),
+            (i + salt).to_bytes(4, "big"),
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [65_535, 65_536])
+def test_lb_update_past_one_count_reaches_the_follower_intact(n):
+    pools = [
+        RecordDef(d.key, d.answer, (d.answer, bytes(4), b"\xff" * 4))
+        for d in _a_records(3, 1)
+    ]
+    leader = build_list(pools)
+    rng = random.Random(n)
+    update = LbUpdate(tuple((rng.randrange(3), rng.randrange(-5, 6)) for _ in range(n)))
+    body = wire.encode_lb_update(update)
+    runs = -(-n // 0xFFFF)
+    assert len(body) == 2 * runs + wire.LB_ENTRY_LEN * n
+    follower = apply_update(leader, wire.decode_lb_update(body))
+    leader = apply_update(leader, update)
+    assert follower.generation == leader.generation == n
+    assert serialize(follower) == serialize(leader)
+
+
+@pytest.mark.parametrize("n", [65_535, 65_536])
+def test_membership_update_past_one_count_reaches_the_follower_intact(n):
+    base = build_list(_a_records(n, 0))
+    update = MembershipUpdate(
+        removals=tuple(base.records), additions=tuple(_a_records(n, 7))
+    )
+    body = wire.encode_membership_update(update)
+    if n == 0xFFFF:  # one block: the bytes every shorter message has
+        assert zlib.decompress(body)[:2] == b"\xff\xff"
+    decoded = wire.decode_membership_update(body)
+    assert decoded == update
+    leader, follower = apply_update(base, update), apply_update(base, decoded)
+    assert len(leader.records) == n
+    assert serialize(follower) == serialize(leader)
+
+
+@pytest.mark.parametrize("n", [65_535, 65_536])
+def test_packet_batch_and_hash_request_past_one_count(n):
+    packet = MixPacket(bytes(32), bytes(16), bytes(32))
+    packets = [packet] * n
+    assert wire.decode_packet_batch(wire.encode_packet_batch(packets)) == packets
+    digests = tuple(i.to_bytes(29, "big") for i in range(n))
+    assert wire.decode_hash_request(wire.encode_hash_request(digests)) == digests
+
+
+def test_counts_must_be_split_as_the_encoder_splits_them():
+    body = wire.encode_lb_update(LbUpdate(((0, 1), (1, 1))))
+    split = b"\x00\x01" + body[2:7] + b"\x00\x01" + body[7:]
+    with pytest.raises(wire.FrameError, match="runs"):
+        wire.decode_lb_update(split)
+
+
 # -- decoders meet mutated bytes -----------------------------------------------
 
 
@@ -191,11 +254,9 @@ def _valid_encodings():
     ]
 
 
-@st.composite
-def mutated_encodings(draw):
-    decode, valid = draw(st.sampled_from(_valid_encodings()))
+def _mutate(draw, valid: bytes, max_edits: int) -> bytes:
     data = bytearray(valid)
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_edits))):
         at = draw(st.integers(0, len(data)))
         edit = draw(st.sampled_from(["flip", "delete", "insert"]))
         if edit == "insert":
@@ -204,7 +265,13 @@ def mutated_encodings(draw):
             data[at] ^= 1 << draw(st.integers(0, 7))
         elif at < len(data):
             del data[at]
-    return decode, bytes(data)
+    return bytes(data)
+
+
+@st.composite
+def mutated_encodings(draw):
+    decode, valid = draw(st.sampled_from(_valid_encodings()))
+    return decode, _mutate(draw, valid, 4)
 
 
 @settings(derandomize=True, max_examples=1500, deadline=None)
@@ -215,3 +282,56 @@ def test_decoders_return_or_raise_format_error(case):
         decode(data)
     except FormatError:
         pass
+
+
+_SNAPSHOT = _valid_encodings()[0][1]  # the uncompressed 4-record snapshot
+
+
+@st.composite
+def mutated_snapshots(draw):
+    return _mutate(draw, _SNAPSHOT, 3)
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(mutated_snapshots())
+def test_a_decodable_snapshot_is_the_one_encoding_of_its_list(data):
+    try:
+        plist = deserialize(data)
+    except FormatError:
+        return
+    assert serialize(plist) == data
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda b: b[:5] + bytes([b[5] | 0x02]) + b[6:], "unknown flags"),
+        (lambda b: b.replace(b"\x05alias", b"\x05zlias"), "siblings not in label order"),
+    ],
+)
+def test_snapshot_rejects_encodings_serialize_never_makes(edit, error):
+    with pytest.raises(FormatError, match=error):
+        deserialize(edit(_SNAPSHOT))
+
+
+def test_snapshot_rejects_unmerged_nodes_and_slots_out_of_type_order():
+    header = b"LLPL\x01\x00\x00\x00\x00\x01\x00\x00\x00\x00"
+    a_slot = b"\x00\x00\x01\x04\xc0\x00\x02\x01"
+    merged = b"\x02\x07example\x05plain\x01" + a_slot + b"\x00\x00"
+    assert serialize(deserialize(header + merged)) == header + merged
+    # "example" holds nothing and has one child: serialize merges it
+    unmerged = b"\x01\x07example\x00\x00\x01" + b"\x01\x05plain\x01" + a_slot + b"\x00\x00"
+    with pytest.raises(FormatError, match="does not branch"):
+        deserialize(header + unmerged)
+
+    both = build_list(
+        [
+            RecordDef(key("both.example"), bytes(4)),
+            RecordDef(key("both.example", RecordType.AAAA), bytes(16)),
+        ]
+    )
+    data = serialize(both)
+    a, aaaa = b"\x00\x00\x01\x04" + bytes(4), b"\x00\x00\x1c\x10" + bytes(16)
+    assert a + aaaa in data
+    with pytest.raises(FormatError, match="type order"):
+        deserialize(data.replace(a + aaaa, aaaa + a))
