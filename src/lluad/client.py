@@ -184,7 +184,7 @@ class SimulatedFallback:
         answers = self.resolver(key)
         if answers is None:
             return build_response(txid, key, [], 0, rcode=RCODE_NXDOMAIN)
-        return build_response(txid, key, list(answers), self.ttl)
+        return build_response(txid, key, answers, self.ttl)
 
 
 def _join(thread: threading.Thread | None) -> None:
@@ -524,7 +524,7 @@ class LluadClient:
             self.buffer.offer(key)
         if hit is not None:
             self.hits += 1
-            return build_response(txid, key, list(hit.answers), self.min_ttl)
+            return build_response(txid, key, hit.answers, self.min_ttl)
         self.misses += 1
         if self.fallback is None:
             return _header_only_reply(query, RCODE_SERVFAIL)

@@ -18,6 +18,16 @@ frozen dataclasses they replace, `hash((labels,))` and
 the same under any PYTHONHASHSEED.  Being tuples, they compare equal to
 the plain tuple of their fields: `RecordKey(n, t) == (n, t)`.  Keys order
 by `sort_key` under all four comparison operators; names have no order.
+
+A query name is validated once, at the bytes level: `_read_name` checks
+the wire structure (pointers, label types, total length) and
+`DomainName.from_wire_labels` checks the joined, lowercased labels
+against every rule of `DomainName` in one pass, then builds the name
+without checking it again.  `RecordAnswer` checks its rdata when built;
+`poplist.lookup` builds its answers without that check, because every
+answer a list holds was checked when its record was.  `build_response`
+encodes the question name once and uses it as the first owner; a
+CNAME's rdata, lowercased, is its target's wire form.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ import operator
 import socket
 import struct
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 MAX_NAME_TEXT_LEN = 253
@@ -38,6 +49,8 @@ RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
 
 _LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
+# what a lowercased dotted name may hold, as bytes
+_DOTTED_NAME_BYTES = "".join(sorted(_LABEL_CHARS)).encode("ascii") + b"."
 
 
 class MalformedMessage(ValueError):
@@ -56,9 +69,12 @@ class RecordType(enum.IntEnum):
     @classmethod
     def from_code(cls, code: int) -> "RecordType":
         try:
-            return cls(code)
-        except ValueError:
+            return _TYPE_BY_CODE[code]
+        except KeyError:
             raise UnsupportedType(f"record type {code} not supported") from None
+
+
+_TYPE_BY_CODE = {int(t): t for t in RecordType}
 
 
 class DomainName(namedtuple("DomainName", "labels")):
@@ -89,12 +105,21 @@ class DomainName(namedtuple("DomainName", "labels")):
 
     @classmethod
     def from_wire_labels(cls, labels: list[bytes]) -> "DomainName":
+        """The name of wire-order labels, lowercased.  Checks every rule
+        of `__new__` once, on the joined bytes, so it builds the name
+        without a second pass; any invalid name raises UnsupportedType."""
         if not labels:
             raise UnsupportedType("root name not served locally")
-        try:
-            return cls(tuple(lb.decode("ascii").lower() for lb in reversed(labels)))
-        except ValueError as exc:  # non-ASCII or unsupported characters
-            raise UnsupportedType(str(exc)) from None
+        raw = b".".join(labels).lower()
+        if (
+            len(raw) > MAX_NAME_TEXT_LEN
+            or raw.translate(None, _DOTTED_NAME_BYTES)
+            or raw.count(b".") != len(labels) - 1  # a label holds a dot
+            or not 1 <= min(map(len, labels))
+            or max(map(len, labels)) > MAX_LABEL_LEN
+        ):
+            raise UnsupportedType(f"not a supported name: {labels!r}")
+        return tuple.__new__(cls, (tuple(raw.decode("ascii").split(".")[::-1]),))
 
     @property
     def dotted(self) -> str:
@@ -102,13 +127,12 @@ class DomainName(namedtuple("DomainName", "labels")):
 
     @property
     def wire(self) -> bytes:
-        out = bytearray()
+        out = []
         for label in reversed(self.labels):
-            raw = label.encode("ascii")
-            out.append(len(raw))
-            out += raw
-        out.append(0)
-        return bytes(out)
+            out.append(chr(len(label)))  # lengths are at most 63: ASCII
+            out.append(label)
+        out.append("\0")
+        return "".join(out).encode("ascii")
 
     def __str__(self) -> str:
         return self.dotted
@@ -183,6 +207,7 @@ def _read_name(wire: bytes, offset: int) -> tuple[list[bytes], int]:
     """Read a (possibly compressed) wire name; returns labels and the
     offset just past the name at its original position."""
     labels: list[bytes] = []
+    size = 0  # wire bytes of the labels read: each label and its length
     jumps = 0
     end = -1
     pos = offset
@@ -209,15 +234,19 @@ def _read_name(wire: bytes, offset: int) -> tuple[list[bytes], int]:
                 end = pos + 1
             return labels, end
         else:
-            if pos + 1 + length > len(wire):
+            start = pos + 1
+            pos = start + length
+            if pos > len(wire):
                 raise MalformedMessage("truncated label")
-            labels.append(wire[pos + 1 : pos + 1 + length])
-            pos += 1 + length
-            if sum(len(lb) + 1 for lb in labels) > MAX_NAME_TEXT_LEN + 1:
+            labels.append(wire[start:pos])
+            size += 1 + length
+            if size > MAX_NAME_TEXT_LEN + 1:
                 raise MalformedMessage("name too long")
 
 
 _HEADER = struct.Struct("!HHHHHH")
+_QUESTION_TAIL = struct.Struct("!HH")  # type, class
+_ANSWER_HEAD = struct.Struct("!HHIH")  # type, class, ttl, rdata length
 
 
 def parse_query(wire: bytes) -> tuple[RecordKey, int]:
@@ -238,25 +267,25 @@ def parse_query(wire: bytes) -> tuple[RecordKey, int]:
     labels, off = _read_name(wire, _HEADER.size)
     if off + 4 > len(wire):
         raise MalformedMessage("truncated question")
-    qtype, qclass = struct.unpack_from("!HH", wire, off)
+    qtype, qclass = _QUESTION_TAIL.unpack_from(wire, off)
     if qclass != CLASS_IN:
         raise UnsupportedType(f"class {qclass} not supported")
     name = DomainName.from_wire_labels(labels)
-    return RecordKey(name, RecordType.from_code(qtype)), txid
+    return tuple.__new__(RecordKey, (name, RecordType.from_code(qtype))), txid
 
 
 def build_query(txid: int, key: RecordKey) -> bytes:
     """Encode a recursive single-question query."""
     out = bytearray(_HEADER.pack(txid, 0x0100, 1, 0, 0, 0))
     out += key.name.wire
-    out += struct.pack("!HH", int(key.rtype), CLASS_IN)
+    out += _QUESTION_TAIL.pack(key.rtype, CLASS_IN)
     return bytes(out)
 
 
 def build_response(
     txid: int,
     key: RecordKey,
-    answers: list[RecordAnswer],
+    answers: Sequence[RecordAnswer],
     ttl: int,
     rcode: int = RCODE_OK,
 ) -> bytes:
@@ -267,17 +296,22 @@ def build_response(
     Empty answers with rcode=RCODE_NXDOMAIN produce a name error.
     """
     flags = 0x8180 | (rcode & 0xF)  # QR, RD, RA
-    out = bytearray(_HEADER.pack(txid, flags, 1, len(answers), 0, 0))
-    out += key.name.wire
-    out += struct.pack("!HH", int(key.rtype), CLASS_IN)
-    owner = key.name
+    owner = key.name.wire
+    out = [
+        _HEADER.pack(txid, flags, 1, len(answers), 0, 0),
+        owner,
+        _QUESTION_TAIL.pack(key.rtype, CLASS_IN),
+    ]
     for ans in answers:
-        out += owner.wire
-        out += struct.pack("!HHIH", int(ans.rtype), CLASS_IN, ttl, len(ans.data))
-        out += ans.data
+        out.append(owner)
+        out.append(_ANSWER_HEAD.pack(ans.rtype, CLASS_IN, ttl, len(ans.data)))
+        out.append(ans.data)
         if ans.rtype == RecordType.CNAME:
-            owner = ans.cname_target
-    return bytes(out)
+            # valid CNAME rdata holds no pointer (one could only lead back
+            # into the name, never to its end) and its length bytes are
+            # below b"A", so lowercased it is the target's wire form
+            owner = ans.data.lower()
+    return b"".join(out)
 
 
 @dataclass(frozen=True)
@@ -314,7 +348,7 @@ def parse_response(wire: bytes) -> ParsedResponse:
         labels, off = _read_name(wire, off)
         if off + 4 > len(wire):
             raise MalformedMessage("truncated question")
-        qtype, qclass = struct.unpack_from("!HH", wire, off)
+        qtype, qclass = _QUESTION_TAIL.unpack_from(wire, off)
         off += 4
         if i == 0 and qclass == CLASS_IN:
             try:
@@ -328,7 +362,7 @@ def parse_response(wire: bytes) -> ParsedResponse:
         labels, off = _read_name(wire, off)
         if off + 10 > len(wire):
             raise MalformedMessage("truncated answer header")
-        type_code, rclass, ttl, rdlength = struct.unpack_from("!HHIH", wire, off)
+        type_code, rclass, ttl, rdlength = _ANSWER_HEAD.unpack_from(wire, off)
         off += 10
         if off + rdlength > len(wire):
             raise MalformedMessage("truncated rdata")

@@ -48,6 +48,10 @@ FRAGMENT_CHUNK_LEN = 27
 MAX_FRAGMENTS = 15  # index and total each fit in a nibble
 
 DEFAULT_N_SHUFFLE = 10
+# what a ROUND_START frame can carry: a one-byte hop count and a
+# 16-bit bitmap length
+MAX_N_SHUFFLE = 255
+MAX_AVAILABILITY_LEN = 65_535
 
 
 class InsufficientShufflers(Exception):
@@ -107,6 +111,13 @@ class RoundContext:
             raise ValueError("round id must fit an unsigned 64-bit field")
         if self.n_shuffle < 1:
             raise ValueError("need at least one shuffle hop")
+        if self.n_shuffle > MAX_N_SHUFFLE:
+            raise ValueError(f"at most {MAX_N_SHUFFLE} shuffle hops fit a round start")
+        if len(self.availability) > MAX_AVAILABILITY_LEN:
+            raise ValueError(
+                f"availability bitmap over {MAX_AVAILABILITY_LEN} bytes"
+                " does not fit a round start"
+            )
 
     @classmethod
     def for_online(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import flat_resolve, random_defs
 from lluad.dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
 from lluad.poplist import (
+    CNAME_CHAIN_LIMIT,
     FormatError,
     IndexOutOfRange,
     InvariantViolation,
@@ -103,6 +104,22 @@ def test_cname_chain_lookup_returns_full_chain():
     ]
     assert hit.answers[0].cname_target.dotted == "edge.example.net"
     assert hit.answers[-1].data == bytes([198, 51, 100, 9])
+
+
+def test_lookup_follows_chains_up_to_the_limit():
+    # hop0 -> hop1 -> ... -> the A record: a chain of n CNAMEs and the
+    # answer resolves while it holds at most CNAME_CHAIN_LIMIT answers
+    def chained(n):
+        defs = [plain("end.example")]
+        for i in range(n):
+            target = "end.example" if i == n - 1 else f"hop{i + 1}.example"
+            defs.append(cname(f"hop{i}.example", target))
+        return lookup(build_list(defs), key("hop0.example"))
+
+    hit = chained(CNAME_CHAIN_LIMIT - 1)
+    assert len(hit.answers) == CNAME_CHAIN_LIMIT
+    assert hit.answers[-1] == RecordAnswer.a("192.0.2.1")
+    assert chained(CNAME_CHAIN_LIMIT) is None
 
 
 def test_closure_and_cycles_rejected():

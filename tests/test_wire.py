@@ -112,6 +112,21 @@ def test_round_start_round_trip():
     assert restored.online_indexes == (0, 5, 12)
 
 
+def test_round_start_limits():
+    # the hop count is one byte and the bitmap length 16 bits: the
+    # largest of each round-trips, one more is refused at construction
+    ctx = RoundContext(7, b"\xff" * 65_535, n_shuffle=255)
+    body = wire.encode_round_start(ctx)
+    assert body[8:11] == b"\xff\xff\xff" and len(body) == 11 + 65_535
+    assert wire.decode_round_start(body) == ctx
+    with pytest.raises(ValueError, match="at most 255 shuffle hops"):
+        RoundContext(7, b"\xff", n_shuffle=256)
+    with pytest.raises(ValueError, match="over 65535 bytes"):
+        RoundContext(7, bytes(65_536))
+    with pytest.raises(ValueError, match="over 65535 bytes"):
+        RoundContext.for_online(7, [0], 8 * 65_536)
+
+
 def test_packet_batch_round_trip():
     rng = random.Random(9)
     packets = [
