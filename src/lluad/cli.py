@@ -218,7 +218,9 @@ def _cmd_client(args) -> int:
     print(f"resolving on {bound[0]}:{bound[1]} udp", flush=True)
     try:
         while True:
-            time.sleep(3600)
+            # short sleeps: a SIGINT that lands on a listener thread is
+            # only acted on once the main thread's sleep ends
+            time.sleep(1.0)
     finally:
         client.close()
     return 0

@@ -19,10 +19,11 @@ the same under any PYTHONHASHSEED.  Being tuples, they compare equal to
 the plain tuple of their fields: `RecordKey(n, t) == (n, t)`.  Keys order
 by `sort_key` under all four comparison operators; names have no order.
 
-A query name is validated once, at the bytes level: `_read_name` checks
-the wire structure (pointers, label types, total length) and
-`DomainName.from_wire_labels` checks the joined, lowercased labels
-against every rule of `DomainName` in one pass, then builds the name
+A name's rules live in one bytes-level check, `_is_name`, which
+`DomainName` applies to its dot-joined labels.  A query name is
+validated once: `_read_name` checks the wire structure (pointers, label
+types, total length) and `DomainName.from_wire_labels` applies
+`_is_name` to the joined, lowercased labels, then builds the name
 without checking it again.  `RecordAnswer` checks its rdata when built;
 `poplist.lookup` builds its answers without that check, because every
 answer a list holds was checked when its record was.  `build_response`
@@ -48,9 +49,21 @@ RCODE_OK = 0
 RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
 
-_LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
-# what a lowercased dotted name may hold, as bytes
-_DOTTED_NAME_BYTES = "".join(sorted(_LABEL_CHARS)).encode("ascii") + b"."
+_DOTTED_NAME_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789-_."
+
+
+def _is_name(labels: Sequence, dotted: bytes) -> bool:
+    """Whether `labels` (at least one), joined by dots into the ASCII bytes
+    `dotted`, make a name: 1 to 63 characters a label, each a lowercase
+    letter, digit, `-` or `_`, and at most 253 in all.  The one place
+    these rules live."""
+    return not (
+        len(dotted) > MAX_NAME_TEXT_LEN
+        or dotted.translate(None, _DOTTED_NAME_BYTES)
+        or dotted.count(b".") != len(labels) - 1  # a label holds a dot
+        or not 1 <= min(map(len, labels))
+        or max(map(len, labels)) > MAX_LABEL_LEN
+    )
 
 
 class MalformedMessage(ValueError):
@@ -85,15 +98,12 @@ class DomainName(namedtuple("DomainName", "labels")):
     def __new__(cls, labels: tuple[str, ...]) -> "DomainName":
         if not labels:
             raise ValueError("empty name (root is not representable here)")
-        text_len = len(labels) - 1  # the dots
-        for label in labels:
-            if not 1 <= len(label) <= MAX_LABEL_LEN:
-                raise ValueError(f"label length out of range: {label!r}")
-            if not _LABEL_CHARS.issuperset(label):
-                raise ValueError(f"label has unsupported characters: {label!r}")
-            text_len += len(label)
-        if text_len > MAX_NAME_TEXT_LEN:
-            raise ValueError("name too long")
+        try:
+            dotted = ".".join(labels).encode("ascii")
+        except UnicodeEncodeError:
+            raise ValueError(f"label has unsupported characters: {labels!r}") from None
+        if not _is_name(labels, dotted):
+            raise ValueError(f"not a supported name: {labels!r}")
         return tuple.__new__(cls, (labels,))
 
     @classmethod
@@ -105,19 +115,13 @@ class DomainName(namedtuple("DomainName", "labels")):
 
     @classmethod
     def from_wire_labels(cls, labels: list[bytes]) -> "DomainName":
-        """The name of wire-order labels, lowercased.  Checks every rule
-        of `__new__` once, on the joined bytes, so it builds the name
+        """The name of wire-order labels, lowercased.  Checks the joined
+        bytes once, by the rules `__new__` applies, so it builds the name
         without a second pass; any invalid name raises UnsupportedType."""
         if not labels:
             raise UnsupportedType("root name not served locally")
         raw = b".".join(labels).lower()
-        if (
-            len(raw) > MAX_NAME_TEXT_LEN
-            or raw.translate(None, _DOTTED_NAME_BYTES)
-            or raw.count(b".") != len(labels) - 1  # a label holds a dot
-            or not 1 <= min(map(len, labels))
-            or max(map(len, labels)) > MAX_LABEL_LEN
-        ):
+        if not _is_name(labels, raw):
             raise UnsupportedType(f"not a supported name: {labels!r}")
         return tuple.__new__(cls, (tuple(raw.decode("ascii").split(".")[::-1]),))
 
@@ -278,7 +282,7 @@ def build_query(txid: int, key: RecordKey) -> bytes:
     """Encode a recursive single-question query."""
     out = bytearray(_HEADER.pack(txid, 0x0100, 1, 0, 0, 0))
     out += key.name.wire
-    out += _QUESTION_TAIL.pack(key.rtype, CLASS_IN)
+    out += struct.pack("!HH", int(key.rtype), CLASS_IN)
     return bytes(out)
 
 
@@ -348,7 +352,7 @@ def parse_response(wire: bytes) -> ParsedResponse:
         labels, off = _read_name(wire, off)
         if off + 4 > len(wire):
             raise MalformedMessage("truncated question")
-        qtype, qclass = _QUESTION_TAIL.unpack_from(wire, off)
+        qtype, qclass = struct.unpack_from("!HH", wire, off)
         off += 4
         if i == 0 and qclass == CLASS_IN:
             try:
@@ -362,7 +366,7 @@ def parse_response(wire: bytes) -> ParsedResponse:
         labels, off = _read_name(wire, off)
         if off + 10 > len(wire):
             raise MalformedMessage("truncated answer header")
-        type_code, rclass, ttl, rdlength = _ANSWER_HEAD.unpack_from(wire, off)
+        type_code, rclass, ttl, rdlength = struct.unpack_from("!HHIH", wire, off)
         off += 10
         if off + rdlength > len(wire):
             raise MalformedMessage("truncated rdata")

@@ -1,16 +1,18 @@
 """The DNS hit-path codec as it stood before it was made single-pass:
 `_read_name` re-sums the label lengths after each label,
 `from_wire_labels` decodes label by label and lets `DomainName` check
-the labels again, and `build_response` encodes every owner name and
-re-parses each CNAME's rdata for the next owner.  Kept verbatim (but for
-the names encoded and parsed here rather than through `DomainName.wire`
-and `RecordAnswer.cname_target`) as the oracle the `dnsmsg` codec must
-match: equal results, or the same exception class."""
+the labels again, one by one, and `build_response` encodes every owner
+name and re-parses each CNAME's rdata for the next owner.  Kept verbatim
+(but for the names checked, encoded and parsed here rather than through
+`DomainName`, `DomainName.wire` and `RecordAnswer.cname_target`) as the
+oracle the `dnsmsg` codec must match: equal results, or the same
+exception class."""
 
 import struct
 
 from lluad.dnsmsg import (
     CLASS_IN,
+    MAX_LABEL_LEN,
     MAX_NAME_TEXT_LEN,
     RCODE_OK,
     DomainName,
@@ -31,11 +33,30 @@ def from_code(code: int) -> RecordType:
         raise UnsupportedType(f"record type {code} not supported") from None
 
 
+_LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
+
+
+def domain_name(labels: tuple[str, ...]) -> DomainName:
+    """`DomainName(labels)`, checking one label at a time."""
+    if not labels:
+        raise ValueError("empty name (root is not representable here)")
+    text_len = len(labels) - 1  # the dots
+    for label in labels:
+        if not 1 <= len(label) <= MAX_LABEL_LEN:
+            raise ValueError(f"label length out of range: {label!r}")
+        if not _LABEL_CHARS.issuperset(label):
+            raise ValueError(f"label has unsupported characters: {label!r}")
+        text_len += len(label)
+    if text_len > MAX_NAME_TEXT_LEN:
+        raise ValueError("name too long")
+    return tuple.__new__(DomainName, (labels,))
+
+
 def from_wire_labels(labels: list[bytes]) -> DomainName:
     if not labels:
         raise UnsupportedType("root name not served locally")
     try:
-        return DomainName(tuple(lb.decode("ascii").lower() for lb in reversed(labels)))
+        return domain_name(tuple(lb.decode("ascii").lower() for lb in reversed(labels)))
     except ValueError as exc:  # non-ASCII or unsupported characters
         raise UnsupportedType(str(exc)) from None
 

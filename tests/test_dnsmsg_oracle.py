@@ -69,6 +69,25 @@ def test_from_wire_labels_matches_the_oracle(labels):
         assert type(value) is DomainName
 
 
+_text_label = st.one_of(
+    st.text(alphabet="abcxyz019-_", min_size=1, max_size=12),
+    st.text(max_size=12),
+    st.sampled_from(["a" * 63, "a" * 64, "", "a.b", ".", "A", "\xe9", "\u0131"]),
+)
+_text_labels = st.one_of(
+    st.lists(_text_label, max_size=6).map(tuple),
+    _long.map(lambda labels: tuple(lb.decode().lower() for lb in labels)),
+)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(labels=_text_labels)
+def test_domain_name_matches_the_oracle(labels):
+    kind, value = _same(DomainName, oracle.domain_name, labels)
+    if kind == "ok":
+        assert type(value) is DomainName and value.labels is labels
+
+
 def _encode_labels(labels):
     return b"".join(bytes([min(len(lb), 255)]) + lb[:255] for lb in labels)
 

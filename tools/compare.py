@@ -3,20 +3,22 @@ revision and on the working tree, in alternating pairs.
 
     python3 tools/compare.py --base HEAD --pairs 10
 
-Copies the base revision (`git archive`) and the working tree (tracked
-and untracked files that git does not ignore) into a temporary
-directory.  For each pair it runs, on both copies with the pair's own
-seed,
+The change's number <n> is read from the `# ISSUE <n>` heading of
+ISSUE.md.  Pair i runs seed 1000·n + i on both sides, so each change is
+measured on seeds that no earlier change used.  The base revision
+(`git archive`) and the working tree (tracked and untracked files that
+git does not ignore) are copied into a temporary directory.  For each
+pair it runs, on both copies,
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
 alternating which side goes first, then one traced run (`--trace 1`)
-per side.  Writes `BENCH_<number>.json` at the repository root with the
-machine, each side's median, quartiles and pair wins per workload and
-end-to-end metric, attempted and failed operations, every run, and
-both sides' per-layer figures.  Prints the end-to-end table.  Exits 1
-when any run is incorrect or fails an operation.  Standard library
-only.
+per side on pair 0's seed.  Writes `BENCH_<n>.json` at the repository
+root with the machine, each side's median, quartiles and pair wins per
+workload and end-to-end metric, attempted and failed operations, every
+run, and both sides' per-layer figures.  Prints the end-to-end table.
+Exits 1 when any run is incorrect or fails an operation.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -162,10 +164,11 @@ def _table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _next_number() -> int:
-    taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json")
-             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
-    return max(taken, default=0) + 1
+def _issue_number() -> int:
+    heading = re.search(r"^# ISSUE (\d+)\b", (ROOT / "ISSUE.md").read_text(), re.MULTILINE)
+    if heading is None:
+        raise SystemExit("ISSUE.md has no '# ISSUE <n>' heading")
+    return int(heading.group(1))
 
 
 def main(argv=None) -> int:
@@ -177,14 +180,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="repeat for several; default: every workload")
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--seed", type=int, default=1000,
-                        help="pair i runs seed + i; the traced runs use seed")
-    parser.add_argument("--number", type=int, default=None,
-                        help="write BENCH_<number>.json (default: one past the highest)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
-    number = args.number if args.number is not None else _next_number()
+    number = _issue_number()
+    seeds = [1000 * number + pair for pair in range(args.pairs)]
 
     base_rev = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
     head_rev = _git("rev-parse", "HEAD").decode().strip()
@@ -198,8 +198,8 @@ def main(argv=None) -> int:
         for workload in args.workload or workloads:
             for pair in range(args.pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                plan += [(workload, pair, side, args.seed + pair, 0) for side in order]
-            plan += [(workload, None, side, args.seed, 1) for side in SIDES]
+                plan += [(workload, pair, side, seeds[pair], 0) for side in order]
+            plan += [(workload, None, side, seeds[0], 1) for side in SIDES]
         for i, (workload, pair, side, seed, trace) in enumerate(plan, 1):
             started = time.perf_counter()
             result = _run(dirs[side], workload, seed, args.seconds, trace)
@@ -221,8 +221,7 @@ def main(argv=None) -> int:
         "python": {"version": platform.python_version(),
                    "implementation": platform.python_implementation()},
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seeds": [args.seed + p for p in range(args.pairs)],
-                     "traced_seed": args.seed},
+                     "seeds": seeds, "traced_seed": seeds[0]},
         "workloads": summary,
         "runs": runs,
     }
