@@ -1,107 +1,40 @@
-"""Desk-scale pass over the four simulation experiments.
+"""Desk-scale run of the figure batch that `lluad plotdata` writes.
 
-Generates a Zipf query trace, replays it against live list maintenance
-at several list sizes, fits the exposure model to the measured miss and
-vote fractions, prices the update stream against a full re-send
-baseline, and composes per-mode latencies. CSVs and a reproducibility
-manifest land in ./demo_out.
+Calls `simharness.write_figure_batch` on a small Zipf trace (hit ratio
+at three list sizes, exposure under collusion, update bandwidth against
+a full re-send, per-mode latency) and prints a summary from what it
+returns. The CSVs and a reproducibility manifest land in ./demo_out.
 """
 
 from pathlib import Path
 
-from lluad.simharness import (
-    BandwidthConfig,
-    HitRatioConfig,
-    exposure_curve,
-    mode_exposure_params,
-    run_bandwidth,
-    run_latency,
-    sweep_hit_ratio,
-    write_bandwidth_csv,
-    write_exposure_csv,
-    write_hit_ratio_csv,
-    write_latency_csv,
-    write_manifest,
-)
-from lluad.traces import (
-    SyntheticUniverse,
-    UniverseConfig,
-    ZipfGeneratorConfig,
-    generate_trace,
-)
+from lluad.simharness import steady_hit_ratio, write_figure_batch
+from lluad.traces import SyntheticUniverse, UniverseConfig, ZipfGeneratorConfig
 
 OUT = Path(__file__).parent / "demo_out"
 SEED = 7
-N_VALUES = (100, 400, 1600)
-
-
-def steady(stats) -> float:
-    # settled behavior, judged over the last three hours
-    tail = stats[-3:]
-    return sum(s.hit_ratio for s in tail) / len(tail)
+N_VALUES = [100, 400, 1600]
 
 
 def main() -> None:
-    OUT.mkdir(exist_ok=True)
     trace_cfg = ZipfGeneratorConfig(
         universe=20_000, clients=150, queries_per_client_hour=40, hours=10, seed=SEED
     )
     universe = SyntheticUniverse(UniverseConfig(trace_cfg.universe, seed=SEED))
-    trace = generate_trace(trace_cfg, universe)
-    print(f"trace: {len(trace)} queries from {len(trace.clients)} clients")
-
-    base = HitRatioConfig(n_popular=0, fast_start_hours=trace_cfg.hours, seed=SEED)
-    series = sweep_hit_ratio(trace, universe, N_VALUES, base)
-    write_hit_ratio_csv(series, OUT / "hit_ratio.csv")
-    for n in N_VALUES:
-        print(f"  list of {n:5d}: steady hit ratio {steady(series[n]):.1%}")
-
-    largest = series[max(N_VALUES)][-3:]
-    miss = 1.0 - sum(s.hit_ratio for s in largest) / len(largest)
-    votes = sum(s.votes for s in largest) / sum(s.queries for s in largest)
-    print(f"measured at the largest list: miss {miss:.1%}, voted {votes:.1%}")
-
-    grid = [i / 20 for i in range(21)]
-    curves = {
-        mode: exposure_curve(
-            mode_exposure_params(mode, miss_fraction=miss, vote_fraction=votes),
-            grid,
-        )
-        for mode in ("plain", "doh", "anon-dnscrypt", "dohot")
-    }
-    write_exposure_csv(curves, OUT / "exposure.csv")
+    batch = write_figure_batch(OUT, universe, trace_cfg, N_VALUES, max_votes=10, seed=SEED)
+    print(f"trace: {len(batch.trace)} queries from {len(batch.trace.clients)} clients")
+    for n, rows in batch.series.items():
+        print(f"  list of {n:5d}: steady hit ratio {steady_hit_ratio(rows):.1%}")
+    print(f"voted at the largest list: {batch.vote_fraction:.1%} of queries")
     # modes converge at full collusion; half collusion shows the spread
-    half = {mode: curve[10][1] for mode, curve in curves.items()}
-    print(
-        "exposure at half collusion: "
-        + ", ".join(f"{m}={r:.1%}" for m, r in half.items())
-    )
-    print(f"exposure at full collusion: {curves['plain'][-1][1]:.1%} for every mode")
-
-    bw_universe = SyntheticUniverse(UniverseConfig(2000, seed=SEED, lb_fraction=0.35))
-    report = run_bandwidth(
-        bw_universe, BandwidthConfig(hours=3, clients=2, n_popular=2000, seed=SEED)
-    )
-    write_bandwidth_csv(report, OUT / "bandwidth.csv")
-    lb = report.total("lb_update_bytes")
-    baseline = report.total("baseline_lb_bytes")
-    print(
-        f"pointer updates: {lb} B vs {baseline} B full-tuple baseline "
-        f"({1 - lb / baseline:.1%} less)"
-    )
-
-    hit_series = [s.hit_ratio for s in series[max(N_VALUES)]]
-    rows = run_latency(hit_series, "doh", seed=SEED)
-    write_latency_csv(rows, OUT / "latency.csv")
-    print(f"doh fallback latency settles at {rows[-1].mean_ms:.1f} ms per lookup")
-
-    write_manifest(
-        OUT / "manifest.json",
-        trace_cfg,
-        SEED,
-        n_values=list(N_VALUES),
-        steady_hit={n: steady(series[n]) for n in N_VALUES},
-    )
+    half = ", ".join(f"{m}={curve[10][1]:.1%}" for m, curve in batch.exposure.items())
+    print(f"exposure at half collusion: {half}")
+    print(f"exposure at full collusion: {batch.exposure['plain'][-1][1]:.1%} for every mode")
+    lb = batch.bandwidth.total("lb_update_bytes")
+    baseline = batch.bandwidth.total("baseline_lb_bytes")
+    saved = 1 - lb / baseline
+    print(f"pointer updates: {lb} B vs {baseline} B full-tuple baseline ({saved:.1%} less)")
+    print(f"doh fallback at the steady hit ratio: {batch.latency['doh'][1]:.1f} ms per lookup")
     print(f"\nwrote {len(list(OUT.iterdir()))} files to {OUT}")
 
 

@@ -20,7 +20,6 @@ from random import Random
 
 from .client import (
     DEFAULT_DNS_PORT,
-    FALLBACK_RELAY_HOPS,
     DohFallback,
     LluadClient,
     PlainUdpFallback,
@@ -33,29 +32,29 @@ from .poplist import (
     MAGIC,
     PopularityList,
     RecordDef,
-    build_list,
     deserialize,
     record_count,
-    serialize,
     wire_nodes,
 )
 from .server import ClientRegistry, LluadServer
 from .simharness import (
+    COLLUSION_GRID,
+    FALLBACK_RELAY_HOPS,
+    STEADY_HOURS,
     BandwidthConfig,
-    DEFAULT_LATENCY_MS,
     HitRatioConfig,
-    analytic_latency_ms,
     exposure_curve,
     fit_overlap,
     mode_exposure_params,
     run_bandwidth,
     run_latency,
+    steady_hit_ratio,
     sweep_hit_ratio,
     write_bandwidth_csv,
     write_exposure_csv,
+    write_figure_batch,
     write_hit_ratio_csv,
     write_latency_csv,
-    write_manifest,
 )
 from .traces import (
     SyntheticUniverse,
@@ -68,7 +67,6 @@ from .traces import (
 from .wire import decode_list_snapshot
 
 SERVER_PORT = 5853
-COLLUSION_GRID = [i / 20 for i in range(21)]
 # flags a config file cannot set: they name one run's inputs and outputs
 FLAG_ONLY = frozenset({"config", "out", "trace", "from_csv", "csv_n_popular"})
 
@@ -280,11 +278,9 @@ def _cmd_sim_hit_ratio(args) -> int:
     )
     series = sweep_hit_ratio(trace, universe, n_values, base)
     write_hit_ratio_csv(series, args.out)
-    for n in sorted(series):
-        rows = series[n]
-        tail = rows[-min(3, len(rows)) :]
-        steady = sum(r.hit_ratio for r in tail) / len(tail)
-        print(f"N={n}: steady hit ratio {steady:.4f} over last {len(tail)}h")
+    for n, rows in sorted(series.items()):
+        steady, hours = steady_hit_ratio(rows), min(STEADY_HOURS, len(rows))
+        print(f"N={n}: steady hit ratio {steady:.4f} over last {hours}h")
     print(f"wrote {args.out}")
     return 0
 
@@ -439,90 +435,16 @@ def _cmd_list_inspect(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    seed = args.seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     universe = _universe(args)
-    trace_cfg = _trace_config(args, universe.config.size)
-    trace = generate_trace(trace_cfg, universe)
-
-    n_values = args.n_popular
-    base = HitRatioConfig(
-        n_popular=n_values[0],
-        max_votes_per_round=args.max_votes,
-        fast_start_hours=trace_cfg.hours,
-        seed=seed,
+    write_figure_batch(
+        args.out,
+        universe,
+        _trace_config(args, universe.config.size),
+        args.n_popular,
+        max_votes=args.max_votes,
+        seed=args.seed,
     )
-    series = sweep_hit_ratio(trace, universe, n_values, base)
-    write_hit_ratio_csv(series, out_dir / "hit_ratio.csv")
-
-    top_rows = series[max(n_values)]
-    with open(out_dir / "voter_participation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "queries", "votes", "vote_fraction"])
-        for row in top_rows:
-            frac = row.votes / row.queries if row.queries else 0.0
-            writer.writerow([row.hour, row.queries, row.votes, f"{frac:.6f}"])
-
-    tail = top_rows[-min(3, len(top_rows)) :]
-    steady_hit = sum(r.hit_ratio for r in tail) / len(tail)
-    miss = 1.0 - steady_hit
-    vote_frac = sum(r.votes for r in tail) / max(1, sum(r.queries for r in tail))
-
-    curves = {
-        mode: exposure_curve(
-            mode_exposure_params(mode, miss_fraction=miss, vote_fraction=vote_frac),
-            COLLUSION_GRID,
-        )
-        for mode in sorted(FALLBACK_RELAY_HOPS)
-    }
-    write_exposure_csv(curves, out_dir / "exposure.csv")
-
-    with open(out_dir / "latency.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "hit_ratio", "analytic_ms", "sampled_ms"])
-        for mode in sorted(DEFAULT_LATENCY_MS):
-            if mode == "local_hit" or mode == "local_miss":
-                continue
-            sampled = run_latency([steady_hit], mode, seed=seed)[0].mean_ms
-            writer.writerow(
-                [
-                    mode,
-                    f"{steady_hit:.6f}",
-                    f"{analytic_latency_ms(steady_hit, mode):.3f}",
-                    f"{sampled:.3f}",
-                ]
-            )
-
-    bw_universe = SyntheticUniverse(
-        UniverseConfig(2000, seed=seed, lb_fraction=0.35, cname_fraction=0.05)
-    )
-    report = run_bandwidth(
-        bw_universe, BandwidthConfig(hours=3, clients=2, n_popular=2000, seed=seed)
-    )
-    write_bandwidth_csv(report, out_dir / "bandwidth.csv")
-
-    with open(out_dir / "listsize.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_records", "raw_bytes", "compressed_bytes", "ratio"])
-        for n in n_values:
-            plist = build_list(universe.record_defs(n))
-            raw = len(serialize(plist))
-            packed = len(serialize(plist, compress=True))
-            writer.writerow([n, raw, packed, f"{packed / raw:.6f}"])
-
-    write_manifest(
-        out_dir / "manifest.json",
-        trace_cfg,
-        seed,
-        universe_size=universe.config.size,
-        n_values=n_values,
-        steady_hit=steady_hit,
-        miss_fraction=miss,
-        vote_fraction=vote_frac,
-    )
-    print(f"wrote {out_dir}/: hit_ratio, voter_participation, exposure,")
+    print(f"wrote {Path(args.out)}/: hit_ratio, voter_participation, exposure,")
     print("  latency, bandwidth, listsize CSVs and manifest.json")
     return 0
 

@@ -60,19 +60,6 @@ log = logging.getLogger(__name__)
 DEFAULT_DNS_PORT = 5353
 DIGEST_MEMORY_CAP = 4096
 
-# resolver paths a client can fall back to on a list miss, with the
-# number of intermediate relays each one routes through (used by the
-# simulation's exposure and latency models; only `plain`, `doh` and
-# `simulated` have live transports here)
-FALLBACK_RELAY_HOPS = {
-    "plain": 0,
-    "doh": 0,
-    "dnscrypt": 0,
-    "anon-dnscrypt": 1,
-    "dohot": 3,
-    "simulated": 0,
-}
-
 
 class FallbackError(Exception):
     """The fallback resolver could not produce a response."""

@@ -544,46 +544,6 @@ class LocalTransport:
         return out
 
 
-class _FragmentPool:
-    def __init__(self):
-        self._chunks: dict[int, dict[int, bytes]] = {}
-        self._totals: dict[int, int] = {}
-        self._poisoned: set[int] = set()
-
-    def add(self, piece: FragmentPiece) -> None:
-        gid = piece.frag_id
-        if gid in self._poisoned:
-            return
-        total = self._totals.setdefault(gid, piece.total)
-        group = self._chunks.setdefault(gid, {})
-        conflicting = piece.index in group and group[piece.index] != piece.chunk
-        if piece.total != total or conflicting:
-            # two senders collided on the same random id
-            self._poisoned.add(gid)
-            return
-        group[piece.index] = piece.chunk
-
-    def finish(self) -> tuple[list[RecordKey], int, int]:
-        """Returns (reassembled records, ambiguous-or-bad ids, incomplete ids)."""
-        records = []
-        discarded = 0
-        incomplete = 0
-        for gid, group in self._chunks.items():
-            if gid in self._poisoned:
-                discarded += 1
-                continue
-            if len(group) != self._totals[gid]:
-                incomplete += 1
-                continue
-            raw = b"".join(group[i] for i in range(self._totals[gid])).rstrip(b"\0")
-            key = parse_record_cleartext(raw)
-            if key is None:
-                discarded += 1
-            else:
-                records.append(key)
-        return records, discarded, incomplete
-
-
 def reassemble_cleartext(
     pieces: Iterable[FragmentPiece],
 ) -> tuple[list[RecordKey], int, int]:
@@ -593,10 +553,39 @@ def reassemble_cleartext(
     count).  Ambiguous ids - two senders colliding on the same random
     id with different content - are dropped whole.
     """
-    pool = _FragmentPool()
+    chunks: dict[int, dict[int, bytes]] = {}
+    totals: dict[int, int] = {}
+    poisoned: set[int] = set()
     for piece in pieces:
-        pool.add(piece)
-    return pool.finish()
+        gid = piece.frag_id
+        if gid in poisoned:
+            continue
+        total = totals.setdefault(gid, piece.total)
+        group = chunks.setdefault(gid, {})
+        conflicting = piece.index in group and group[piece.index] != piece.chunk
+        if piece.total != total or conflicting:
+            # two senders collided on the same random id
+            poisoned.add(gid)
+            continue
+        group[piece.index] = piece.chunk
+
+    records = []
+    discarded = 0
+    incomplete = 0
+    for gid, group in chunks.items():
+        if gid in poisoned:
+            discarded += 1
+            continue
+        if len(group) != totals[gid]:
+            incomplete += 1
+            continue
+        raw = b"".join(group[i] for i in range(totals[gid])).rstrip(b"\0")
+        key = parse_record_cleartext(raw)
+        if key is None:
+            discarded += 1
+        else:
+            records.append(key)
+    return records, discarded, incomplete
 
 
 @dataclass
@@ -709,7 +698,7 @@ class RoundServer:
         dummy_count = 0
         undecodable = 0
         unknown_digests: list[bytes] = []
-        pool = _FragmentPool()
+        pieces: list[FragmentPiece] = []
         for _, payload, _ in exit_entries:
             decoded = decode_payload(payload)
             if decoded is None:
@@ -726,8 +715,8 @@ class RoundServer:
                 else:
                     unknown_digests.append(decoded.digest)
             else:
-                pool.add(decoded)
-        reassembled, discarded_frags, incomplete_frags = pool.finish()
+                pieces.append(decoded)
+        reassembled, discarded_frags, incomplete_frags = reassemble_cleartext(pieces)
         for key in reassembled:
             self.learn_record(key)
             tally[key] += 1

@@ -12,8 +12,10 @@ Four engines, one per published evaluation axis:
 - `run_latency` composes hourly mean lookup latency from a hit-ratio
   series by sampling, 1000 draws per hour.
 
-Everything is single-threaded and deterministic given the seed; CSV
-writers use fixed formatting so identical runs are byte-identical.
+`write_figure_batch` runs all four for the paper's figures and writes
+them as one batch of CSVs with a manifest.  Everything is
+single-threaded and deterministic given the seed; CSV writers use fixed
+formatting so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .client import FALLBACK_RELAY_HOPS
 from .dnsmsg import RecordKey, RecordType
 from .maintenance import (
     LbUpdate,
@@ -35,8 +36,14 @@ from .maintenance import (
     Maintainer,
     MembershipUpdate,
 )
-from .poplist import lookup, record_count
-from .traces import QueryTrace, SyntheticUniverse
+from .poplist import build_list, lookup, record_count, serialize
+from .traces import (
+    QueryTrace,
+    SyntheticUniverse,
+    UniverseConfig,
+    ZipfGeneratorConfig,
+    generate_trace,
+)
 from .wire import (
     FRAME_HEADER_LEN,
     encode_lb_update,
@@ -48,6 +55,8 @@ from .wire import (
 from .mixnet import PACKET_LEN, RoundContext, availability_bits
 
 BROWSER_CACHE_SECONDS = 60.0
+# a run has settled over its last hours; the figures judge it there
+STEADY_HOURS = 3
 
 
 # -- hit ratio ---------------------------------------------------------------------
@@ -150,6 +159,12 @@ def run_hit_ratio(
     return rows
 
 
+def steady_hit_ratio(rows: Sequence[HourStats]) -> float:
+    """Mean hit ratio over the last `STEADY_HOURS` hours of a run."""
+    tail = rows[-STEADY_HOURS:]
+    return sum(r.hit_ratio for r in tail) / len(tail)
+
+
 def sweep_hit_ratio(
     trace: QueryTrace,
     universe: SyntheticUniverse,
@@ -165,6 +180,19 @@ def sweep_hit_ratio(
 
 
 # -- exposure model ----------------------------------------------------------------
+
+# resolver paths a client can fall back to on a list miss, with the
+# number of intermediate relays each one routes through (only `plain`,
+# `doh` and `simulated` have live transports in the client)
+FALLBACK_RELAY_HOPS = {
+    "plain": 0,
+    "doh": 0,
+    "dnscrypt": 0,
+    "anon-dnscrypt": 1,
+    "dohot": 3,
+    "simulated": 0,
+}
+COLLUSION_GRID = [i / 20 for i in range(21)]
 
 
 @dataclass(frozen=True)
@@ -379,10 +407,7 @@ def run_bandwidth(
     counter["queries"] = 0
     snapshot = _framed(encode_list_snapshot(maintainer.plist))
 
-    events_by_hour: dict[int, list] = {}
-    if trace is not None:
-        for hour, events in trace.hours():
-            events_by_hour[hour] = events
+    events_by_hour = dict(trace.hours()) if trace is not None else {}
     per_query_fallback = DEFAULT_FALLBACK_QUERY_BYTES[config.fallback_mode]
 
     rows: list[BandwidthHour] = []
@@ -468,10 +493,8 @@ class LatencyHour:
     mean_ms: float
 
 
-def analytic_latency_ms(
-    hit_ratio: float, mode: str, table: Mapping[str, float] | None = None
-) -> float:
-    table = DEFAULT_LATENCY_MS if table is None else table
+def analytic_latency_ms(hit_ratio: float, mode: str) -> float:
+    table = DEFAULT_LATENCY_MS
     miss = 1.0 - hit_ratio
     return hit_ratio * table["local_hit"] + miss * (
         table["local_miss"] + table[mode]
@@ -482,13 +505,12 @@ def run_latency(
     hit_series: Sequence[float],
     mode: str,
     *,
-    table: Mapping[str, float] | None = None,
     samples: int = 1000,
     seed: int = 0,
 ) -> list[LatencyHour]:
     """Sample `samples` lookups per hour at the given hit ratio and
     average their composed latencies."""
-    table = DEFAULT_LATENCY_MS if table is None else table
+    table = DEFAULT_LATENCY_MS
     if mode not in table:
         raise ValueError(f"no latency entry for mode: {mode}")
     if samples < 1:
@@ -511,55 +533,54 @@ def run_latency(
 # -- output ------------------------------------------------------------------------
 
 
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_hit_ratio_csv(
     series: Mapping[int, Sequence[HourStats]], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n_popular", "hour", "queries", "hits", "hit_ratio", "records", "votes"]
-        )
-        for n in sorted(series):
-            for row in series[n]:
-                writer.writerow(
-                    [
-                        n,
-                        row.hour,
-                        row.queries,
-                        row.hits,
-                        f"{row.hit_ratio:.6f}",
-                        row.records,
-                        row.votes,
-                    ]
-                )
+    _write_csv(
+        path,
+        ["n_popular", "hour", "queries", "hits", "hit_ratio", "records", "votes"],
+        (
+            [n, r.hour, r.queries, r.hits, f"{r.hit_ratio:.6f}", r.records, r.votes]
+            for n in sorted(series)
+            for r in series[n]
+        ),
+    )
 
 
 def write_exposure_csv(
     curves: Mapping[str, Sequence[tuple[float, float]]], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "collusion", "exposure"])
-        for mode in sorted(curves):
-            for c, rate in curves[mode]:
-                writer.writerow([mode, f"{c:.6f}", f"{rate:.6f}"])
+    _write_csv(
+        path,
+        ["mode", "collusion", "exposure"],
+        (
+            [mode, f"{c:.6f}", f"{rate:.6f}"]
+            for mode in sorted(curves)
+            for c, rate in curves[mode]
+        ),
+    )
 
 
 def write_bandwidth_csv(report: BandwidthReport, path: str | Path) -> None:
     fields = [f.name for f in dataclasses.fields(BandwidthHour)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in report.hours:
-            writer.writerow([getattr(row, name) for name in fields])
+    _write_csv(
+        path, fields, ([getattr(row, name) for name in fields] for row in report.hours)
+    )
 
 
 def write_latency_csv(rows: Sequence[LatencyHour], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "hit_ratio", "mean_ms"])
-        for row in rows:
-            writer.writerow([row.hour, f"{row.hit_ratio:.6f}", f"{row.mean_ms:.6f}"])
+    _write_csv(
+        path,
+        ["hour", "hit_ratio", "mean_ms"],
+        ([r.hour, f"{r.hit_ratio:.6f}", f"{r.mean_ms:.6f}"] for r in rows),
+    )
 
 
 def code_version() -> str:
@@ -587,3 +608,113 @@ def write_manifest(path: str | Path, config, seed: int, **extra) -> dict:
         json.dump(data, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     return data
+
+
+# -- figure batch ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FigureBatch:
+    """What `write_figure_batch` computed, for callers that summarize it."""
+
+    trace: QueryTrace
+    series: dict[int, list[HourStats]]
+    steady_hit: float  # of the largest list: sets the exposure and latency inputs
+    vote_fraction: float
+    exposure: dict[str, list[tuple[float, float]]]
+    latency: dict[str, tuple[float, float]]  # mode -> (analytic, sampled) ms
+    bandwidth: BandwidthReport
+    listsize: list[tuple[int, int, int]]  # (records, raw bytes, compressed bytes)
+
+
+def write_figure_batch(
+    out_dir: str | Path,
+    universe: SyntheticUniverse,
+    trace_cfg: ZipfGeneratorConfig,
+    n_values: Sequence[int],
+    *,
+    max_votes: int,
+    seed: int,
+) -> FigureBatch:
+    """Run the experiments behind the paper's figures and write their six
+    CSVs and manifest.json to `out_dir`.  Bandwidth runs on its own fixed
+    2000-record universe."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trace = generate_trace(trace_cfg, universe)
+    base = HitRatioConfig(
+        n_values[0],
+        max_votes_per_round=max_votes,
+        fast_start_hours=trace_cfg.hours,
+        seed=seed,
+    )
+    series = sweep_hit_ratio(trace, universe, n_values, base)
+    write_hit_ratio_csv(series, out_dir / "hit_ratio.csv")
+
+    top = series[max(n_values)]
+    _write_csv(
+        out_dir / "voter_participation.csv",
+        ["hour", "queries", "votes", "vote_fraction"],
+        (
+            [r.hour, r.queries, r.votes, f"{r.votes / max(1, r.queries):.6f}"]
+            for r in top
+        ),
+    )
+    steady_hit = steady_hit_ratio(top)
+    tail = top[-STEADY_HOURS:]
+    vote_frac = sum(r.votes for r in tail) / max(1, sum(r.queries for r in tail))
+    fractions = {"miss_fraction": 1.0 - steady_hit, "vote_fraction": vote_frac}
+    curves = {
+        mode: exposure_curve(mode_exposure_params(mode, **fractions), COLLUSION_GRID)
+        for mode in sorted(FALLBACK_RELAY_HOPS)
+    }
+    write_exposure_csv(curves, out_dir / "exposure.csv")
+
+    latency = {
+        mode: (
+            analytic_latency_ms(steady_hit, mode),
+            run_latency([steady_hit], mode, seed=seed)[0].mean_ms,
+        )
+        for mode in sorted(DEFAULT_LATENCY_MS)
+        if mode not in ("local_hit", "local_miss")
+    }
+    _write_csv(
+        out_dir / "latency.csv",
+        ["mode", "hit_ratio", "analytic_ms", "sampled_ms"],
+        (
+            [mode, f"{steady_hit:.6f}", f"{analytic:.3f}", f"{sampled:.3f}"]
+            for mode, (analytic, sampled) in latency.items()
+        ),
+    )
+
+    bw_universe = SyntheticUniverse(
+        UniverseConfig(2000, seed=seed, lb_fraction=0.35, cname_fraction=0.05)
+    )
+    report = run_bandwidth(
+        bw_universe, BandwidthConfig(hours=3, clients=2, n_popular=2000, seed=seed)
+    )
+    write_bandwidth_csv(report, out_dir / "bandwidth.csv")
+
+    listsize = []
+    for n in n_values:
+        plist = build_list(universe.record_defs(n))
+        raw, packed = serialize(plist), serialize(plist, compress=True)
+        listsize.append((n, len(raw), len(packed)))
+    _write_csv(
+        out_dir / "listsize.csv",
+        ["n_records", "raw_bytes", "compressed_bytes", "ratio"],
+        ([n, raw, packed, f"{packed / raw:.6f}"] for n, raw, packed in listsize),
+    )
+
+    write_manifest(
+        out_dir / "manifest.json",
+        trace_cfg,
+        seed,
+        universe_size=universe.config.size,
+        n_values=n_values,
+        steady_hit=steady_hit,
+        **fractions,
+    )
+    return FigureBatch(
+        trace, series, steady_hit, vote_frac, curves, latency, report, listsize
+    )

@@ -317,20 +317,25 @@ def test_plotdata_batch(tmp_path, capsys):
         "--hours", "3", "--n-popular", "50,150", "--seed", "4", "--out", str(out),
     )
     assert rc == 0
-    names = {p.name for p in out.iterdir()}
-    assert names == {
-        "hit_ratio.csv",
-        "voter_participation.csv",
-        "exposure.csv",
-        "latency.csv",
-        "bandwidth.csv",
-        "listsize.csv",
-        "manifest.json",
+    # the manifest is pinned without its code_version line, which names the commit
+    digests = {
+        "hit_ratio.csv": "6f62064e0bbf8b5028846c1e6e61b65b34184ca39aec75766655a0d212152fcd",
+        "voter_participation.csv": "333eeca6871457aa77aa7b6a4f6c87eee0f81a4d4ef0ef2822e57d5cefa35399",
+        "exposure.csv": "213c227f36731fdb28c792e86c414e16c048d18dd5036c67de5b117b78e8066a",
+        "latency.csv": "18f071979e10f46f3dd72146c426aa14103dc94adbaa9f4850b67791905af749",
+        "bandwidth.csv": "1e7b15e306173306de87d83779586050bf484bfd99c991d2604209d2bff6caa4",
+        "listsize.csv": "4d5d29641ceaaa32784683c3c2f89547f431afcdf3e99e991752a92a9edb6b2c",
+        "manifest.json": "b27204d3914a584417d78a621998cd19918445cd0e07423a020a2a30dddd04f2",
     }
+    assert {p.name for p in out.iterdir()} == set(digests)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n_values"] == [50, 150]
     assert "code_version" in manifest
     assert 0.0 <= manifest["steady_hit"] <= 1.0
+    for name, digest in digests.items():
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        pinned = b"".join(line for line in lines if b'"code_version"' not in line)
+        assert hashlib.sha256(pinned).hexdigest() == digest, name
     capsys.readouterr()
 
 

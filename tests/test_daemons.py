@@ -14,7 +14,6 @@ import pytest
 from lluad import wire
 from lluad.cli import main as cli_main
 from lluad.client import (
-    FALLBACK_RELAY_HOPS,
     AuthRejected,
     LluadClient,
     SimulatedFallback,
@@ -39,6 +38,7 @@ from lluad.maintenance import (
 from lluad.mixnet import AckOutcome, record_digest, select_shufflers
 from lluad.poplist import serialize
 from lluad.server import ClientRegistry, LluadServer, RegistryError
+from lluad.simharness import FALLBACK_RELAY_HOPS
 
 
 def akey(text: str) -> RecordKey:

@@ -12,11 +12,13 @@ pair it runs, on both copies,
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-alternating which side goes first, then one traced run (`--trace 1`)
-per side on pair 0's seed.  Writes `BENCH_<n>.json` at the repository
-root with the machine, each side's median, quartiles and pair wins per
-workload and end-to-end metric, attempted and failed operations, every
-run, and both sides' per-layer figures.  Prints the end-to-end table.
+alternating which side goes first, then traced runs (`--trace 1`) in
+alternating pairs on the seeds of the first min(3, --pairs) pairs.
+Writes `BENCH_<n>.json` at the repository root with the machine, each
+side's median, quartiles and pair wins per workload and end-to-end
+metric, attempted and failed operations, every run, and each side's
+median over its traced runs of every per-layer figure.  Prints the
+end-to-end table.
 Exits 1 when any run is incorrect or fails an operation.  Standard
 library only.
 """
@@ -138,14 +140,17 @@ def _summarize(runs: list[dict], spec: dict) -> dict:
 
 
 def _per_layer(traced: dict) -> dict:
+    """Each side's median over its traced runs, per layer metric."""
     if not all(traced[s] for s in SIDES):
         return {}
-    base, change = (traced[s][0] for s in SIDES)
-    return {
-        name: {"unit": unit, "base": base["metrics"][name],
-               "change": change["metrics"].get(name)}
-        for name, unit in base["units"].items()
-    }
+    out = {}
+    for name, unit in traced["base"][0]["units"].items():
+        row = {"unit": unit}
+        for s in SIDES:
+            values = [r["metrics"][name] for r in traced[s] if name in r["metrics"]]
+            row[s] = statistics.median(values) if values else None
+        out[name] = row
+    return out
 
 
 def _table(summary: dict) -> str:
@@ -185,6 +190,7 @@ def main(argv=None) -> int:
         parser.error("--pairs and --seconds must be positive")
     number = _issue_number()
     seeds = [1000 * number + pair for pair in range(args.pairs)]
+    traced_pairs = min(3, args.pairs)
 
     base_rev = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
     head_rev = _git("rev-parse", "HEAD").decode().strip()
@@ -196,10 +202,10 @@ def main(argv=None) -> int:
         _copy_working_tree(dirs["change"])
         plan = []
         for workload in args.workload or workloads:
-            for pair in range(args.pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                plan += [(workload, pair, side, seeds[pair], 0) for side in order]
-            plan += [(workload, None, side, seeds[0], 1) for side in SIDES]
+            for trace, pairs in ((0, args.pairs), (1, traced_pairs)):
+                for pair in range(pairs):
+                    order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                    plan += [(workload, pair, side, seeds[pair], trace) for side in order]
         for i, (workload, pair, side, seed, trace) in enumerate(plan, 1):
             started = time.perf_counter()
             result = _run(dirs[side], workload, seed, args.seconds, trace)
@@ -221,7 +227,7 @@ def main(argv=None) -> int:
         "python": {"version": platform.python_version(),
                    "implementation": platform.python_implementation()},
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seeds": seeds, "traced_seed": seeds[0]},
+                     "seeds": seeds, "traced_seeds": seeds[:traced_pairs]},
         "workloads": summary,
         "runs": runs,
     }
