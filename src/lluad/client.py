@@ -36,7 +36,6 @@ from .maintenance import apply_update
 from .mixnet import (
     FLAG_HASHED,
     AckOutcome,
-    InsufficientShufflers,
     MixPacket,
     PlannedVote,
     RoundContext,
@@ -260,10 +259,7 @@ class LluadClient:
         sock.settimeout(None)
         self._stream = wire.FrameStream(sock)
         try:
-            self._stream.send(
-                wire.MSG_LIST_REQUEST,
-                wire.encode_list_request(self.client_id, self._token),
-            )
+            self.resync()
             msg_type, body = self._stream.recv()
             if msg_type == wire.MSG_ERROR:
                 raise AuthRejected(wire.decode_error(body)[1])
@@ -310,7 +306,7 @@ class LluadClient:
         self.connect(timeout=timeout)
 
     def resync(self) -> None:
-        """Ask for a fresh snapshot on the live session."""
+        """Send the credentials; the server answers with a fresh snapshot."""
         assert self._stream is not None
         self._stream.send(
             wire.MSG_LIST_REQUEST,
@@ -377,10 +373,10 @@ class LluadClient:
             self._apply(wire.decode_lb_update(body))
         elif msg_type == wire.MSG_ROUND_START:
             self._on_round_start(wire.decode_round_start(body))
-        elif msg_type == wire.MSG_VOTE_BATCH:
-            self._on_vote_batch(wire.decode_packet_batch(body))
-        elif msg_type == wire.MSG_ACK_BATCH:
-            self._on_ack_batch(wire.decode_packet_batch(body))
+        elif msg_type in (wire.MSG_VOTE_BATCH, wire.MSG_ACK_BATCH):
+            self._on_relay(msg_type, wire.decode_packet_batch(body))
+        elif msg_type == wire.MSG_SENDER_ACKS:
+            self._on_sender_acks(wire.decode_packet_batch(body))
         elif msg_type == wire.MSG_HASH_REQUEST:
             self._on_hash_request(wire.decode_hash_request(body))
         elif msg_type == wire.MSG_ERROR:
@@ -411,32 +407,27 @@ class LluadClient:
     def _on_round_start(self, ctx: RoundContext) -> None:
         assert self._stream is not None
         self._round_ctx = ctx
+        self._sent_votes = []
         if self.node is not None:
             self.node.begin_round()
         if not ctx.can_run:
-            self._sent_votes = []
             return
         if any(j not in self.shuffler_pubs for j in ctx.online_indexes):
             log.warning("client %s: unknown shuffler online, skipping", self.client_id)
-            self._sent_votes = []
             return
         with self._buffer_lock:
             vote_keys = self.buffer.drain()
         priority = self._pending_fragments[: self.quota]
         del self._pending_fragments[: len(priority)]
-        try:
-            planned = client_submit(
-                vote_keys,
-                ctx,
-                self.quota,
-                self.shuffler_pubs,
-                self.server_pub,
-                self._rng,
-                priority_payloads=priority,
-            )
-        except InsufficientShufflers:  # pragma: no cover - ctx.can_run held
-            self._sent_votes = []
-            return
+        planned = client_submit(
+            vote_keys,
+            ctx,
+            self.quota,
+            self.shuffler_pubs,
+            self.server_pub,
+            self._rng,
+            priority_payloads=priority,
+        )
         self._remember_hashed(vote_keys, planned)
         self._sent_votes = planned
         self._stream.send(
@@ -457,24 +448,19 @@ class LluadClient:
         while len(self._hashed_sent) > DIGEST_MEMORY_CAP:
             self._hashed_sent.popitem(last=False)
 
-    def _on_vote_batch(self, batch: list[MixPacket]) -> None:
+    def _on_relay(self, msg_type: int, batch: list[MixPacket]) -> None:
+        """Relay one vote or ack hop, as the frame type says; reply in kind."""
         assert self._stream is not None
         if self.node is None or self._round_ctx is None:
-            log.warning("client %s: vote batch without shuffler role", self.client_id)
+            log.warning("client %s: relay batch without shuffler role", self.client_id)
             return
-        out = self.node.process_batch(batch, self._round_ctx.t_timestamp)
-        self._stream.send(wire.MSG_VOTE_BATCH, wire.encode_packet_batch(out))
+        vote_hop = msg_type == wire.MSG_VOTE_BATCH
+        relay = self.node.process_batch if vote_hop else self.node.process_acks
+        out = relay(batch, self._round_ctx.t_timestamp)
+        self._stream.send(msg_type, wire.encode_packet_batch(out))
 
-    def _on_ack_batch(self, batch: list[MixPacket]) -> None:
+    def _on_sender_acks(self, batch: list[MixPacket]) -> None:
         assert self._stream is not None
-        if (
-            self.node is not None
-            and self._round_ctx is not None
-            and self.node.pending_ack_duties > 0
-        ):
-            out = self.node.process_acks(batch, self._round_ctx.t_timestamp)
-            self._stream.send(wire.MSG_ACK_BATCH, wire.encode_packet_batch(out))
-            return
         outcomes, reports = verify_round_acks(self._sent_votes, batch)
         self.last_outcomes = outcomes
         for outcome in outcomes:
@@ -502,7 +488,7 @@ class LluadClient:
         try:
             key, txid = parse_query(query)
         except UnsupportedType:
-            return _header_only_reply(query, RCODE_SERVFAIL)
+            return self._forward(query)
         except MalformedMessage:
             return None
         with self._list_lock:
@@ -512,6 +498,10 @@ class LluadClient:
         if hit is not None:
             self.hits += 1
             return build_response(txid, key, hit.answers, self.min_ttl)
+        return self._forward(query)
+
+    def _forward(self, query: bytes) -> bytes:
+        """A miss: a name the list lacks, or a query type it cannot hold."""
         self.misses += 1
         if self.fallback is None:
             return _header_only_reply(query, RCODE_SERVFAIL)

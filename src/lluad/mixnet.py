@@ -12,7 +12,7 @@ a cover ack, so dropping one ack cannot reveal which sender was hit.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -404,18 +404,21 @@ class ReportLog:
     def __init__(self, threshold: int = 5, window_rounds: int = 24):
         self.threshold = threshold
         self.window_rounds = window_rounds
-        self._entries: list[tuple[int, MisbehaviorReport]] = []
+        self._entries: deque[tuple[int, MisbehaviorReport]] = deque()
 
     def add(self, round_index: int, report: MisbehaviorReport) -> None:
+        """File a report; rounds come in order, so old ones leave the front."""
         self._entries.append((round_index, report))
+        cutoff = round_index - self.window_rounds
+        while self._entries and self._entries[0][0] <= cutoff:
+            self._entries.popleft()
 
     def flagged(self, current_round: int) -> set[int]:
         cutoff = current_round - self.window_rounds
-        self._entries = [(r, rep) for r, rep in self._entries if r > cutoff]
         counts: Counter[int] = Counter()
-        for _, report in self._entries:
-            for j in set(report.path):
-                counts[j] += 1
+        for r, report in self._entries:
+            if r > cutoff:
+                counts.update(set(report.path))
         return {j for j, c in counts.items() if c >= self.threshold}
 
 
@@ -448,13 +451,6 @@ class ShufflerNode:
 
     def begin_round(self) -> None:
         self._flow_stack.clear()
-
-    @property
-    def pending_ack_duties(self) -> int:
-        """Forward hops served but not yet acked back.  A node receiving
-        ack traffic while this is zero is looking at its own sender acks,
-        not relay work."""
-        return len(self._flow_stack)
 
     def process_batch(self, batch: Sequence[MixPacket], t_timestamp: int) -> list[MixPacket]:
         table: dict[tuple[bytes, bytes], _FlowEntry] = {}

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from . import wire
 from .maintenance import Maintainer, MembershipUpdate
 from .mixnet import (
-    InsufficientShufflers,
-    MixPacket,
     ReportLog,
     RoundContext,
     RoundResult,
@@ -133,32 +131,22 @@ class ClientRegistry:
         return entry
 
 
+# submissions and relay replies are queued by the frame type they come in
+_REPLY_TYPES = (wire.MSG_VOTE_BATCH, wire.MSG_ACK_BATCH)
+
+
 class _Session:
     def __init__(self, stream: wire.FrameStream, peer):
         self.stream = stream
         self.peer = peer
         self.client_id: str | None = None
         self.entry: RegistryEntry | None = None
-        self.votes: queue.Queue = queue.Queue()
-        self.acks: queue.Queue = queue.Queue()
+        self.replies = {t: queue.Queue() for t in _REPLY_TYPES}
         self._write_lock = threading.Lock()
-        self.alive = True
 
     def send(self, msg_type: int, body: bytes) -> None:
         with self._write_lock:
             self.stream.send(msg_type, body)
-
-    def close(self) -> None:
-        self.alive = False
-        self.stream.close()
-
-
-def _drain_queue(q: queue.Queue) -> None:
-    while True:
-        try:
-            q.get_nowait()
-        except queue.Empty:
-            return
 
 
 class _SessionTransport:
@@ -173,27 +161,14 @@ class _SessionTransport:
 
     def exchange(self, assignments, phase: str, hop: int, t_timestamp: int):
         msg_type = wire.MSG_VOTE_BATCH if phase == "vote" else wire.MSG_ACK_BATCH
-        server = self.server
-        sent: list[tuple[int, _Session]] = []
+        requests = {}
         for j, batch in assignments.items():
-            session = server._shuffler_session(j)
-            if session is None:
-                continue
-            try:
-                session.send(msg_type, wire.encode_packet_batch(batch))
-                sent.append((j, session))
-            except OSError:
-                server._drop_session(session)
-        out: dict[int, list[MixPacket]] = {}
-        deadline = time.monotonic() + server.straggler_timeout
-        for j, session in sent:
-            source = session.votes if phase == "vote" else session.acks
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                out[j] = source.get(timeout=remaining)
-            except queue.Empty:
-                log.warning("shuffler %d missed %s hop %d", j, phase, hop)
-        return out
+            session = self.server._shuffler_session(j)
+            if session is not None:
+                requests[j] = (session, wire.encode_packet_batch(batch))
+        return self.server._ask(
+            requests, msg_type, msg_type, f"shuffler %s missed {phase} hop {hop}"
+        )
 
 
 class LluadServer:
@@ -239,6 +214,8 @@ class LluadServer:
         )
         self.report_log = ReportLog()
         self.round_index = 0
+        # the round whose senders may report, and the reports each has left
+        self._reports_open: tuple[int, int | None, dict[str, int]] = (0, None, {})
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -265,7 +242,7 @@ class LluadServer:
         with self._state_lock:
             connections = list(self._connections.items())
         for session, thread in connections:
-            session.close()
+            session.stream.close()
             thread.join()
 
     def _accept_loop(self) -> None:
@@ -323,7 +300,7 @@ class LluadServer:
         with self._state_lock:
             old = self._sessions.get(client_id)
             if old is not None:
-                old.close()
+                old.stream.close()
             self._sessions[client_id] = session
             session.send(
                 wire.MSG_LIST_SNAPSHOT, wire.encode_list_snapshot(self.maintainer.plist)
@@ -338,25 +315,33 @@ class LluadServer:
                         wire.MSG_LIST_SNAPSHOT,
                         wire.encode_list_snapshot(self.maintainer.plist),
                     )
-            elif msg_type == wire.MSG_VOTE_BATCH:
-                session.votes.put(wire.decode_packet_batch(body))
-            elif msg_type == wire.MSG_ACK_BATCH:
-                session.acks.put(wire.decode_packet_batch(body))
+            elif msg_type in session.replies:
+                session.replies[msg_type].put(wire.decode_packet_batch(body))
             elif msg_type == wire.MSG_MISBEHAVIOR_REPORT:
                 report = wire.decode_misbehavior_report(body)
                 with self._state_lock:
-                    self.report_log.add(self.round_index, report)
+                    # only on the round that just ran, at most quota per sender
+                    round_index, t, left = self._reports_open
+                    if report.t_timestamp == t and left.get(session.client_id):
+                        left[session.client_id] -= 1
+                        self.report_log.add(round_index, report)
             else:
                 raise wire.FrameError(f"unexpected message type 0x{msg_type:02x}")
 
-    def _send_error(self, session: _Session, code: int, message: str) -> None:
+    def _send(self, session: _Session, msg_type: int, body: bytes) -> bool:
+        """Send one frame; a session that cannot take it is dropped."""
         try:
-            session.send(wire.MSG_ERROR, wire.encode_error(code, message))
+            session.send(msg_type, body)
         except OSError:
-            pass
+            self._drop_session(session)
+            return False
+        return True
+
+    def _send_error(self, session: _Session, code: int, message: str) -> None:
+        self._send(session, wire.MSG_ERROR, wire.encode_error(code, message))
 
     def _drop_session(self, session: _Session) -> None:
-        session.close()
+        session.stream.close()
         with self._state_lock:
             if session.client_id and self._sessions.get(session.client_id) is session:
                 del self._sessions[session.client_id]
@@ -370,10 +355,26 @@ class LluadServer:
         with self._state_lock:
             sessions = list(self._sessions.values())
         for session in sessions:
+            self._send(session, msg_type, body)
+
+    def _ask(self, requests: dict, msg_type: int, reply_type: int, missed: str) -> dict:
+        """Send each (session, body) of `requests` as a `msg_type` frame, then
+        take one `reply_type` batch, by one straggler deadline, from every
+        session that got its frame.  `missed` logs each key left without."""
+        asked = {
+            key: session.replies[reply_type]
+            for key, (session, body) in requests.items()
+            if self._send(session, msg_type, body)
+        }
+        replies = {}
+        deadline = time.monotonic() + self.straggler_timeout
+        for key, pending in asked.items():
+            remaining = max(0.0, deadline - time.monotonic())
             try:
-                session.send(msg_type, body)
-            except OSError:
-                self._drop_session(session)
+                replies[key] = pending.get(timeout=remaining)
+            except queue.Empty:
+                log.warning(missed, key)
+        return replies
 
     # -- maintenance triggers ------------------------------------------------
 
@@ -435,43 +436,31 @@ class LluadServer:
                 )
                 return None
 
-            # the round involves exactly the sessions present at the start;
-            # later joiners wait for the next one
+            # the round involves exactly the sessions present at the start, on
+            # fresh reply queues; later joiners wait for the next one
+            for session in sessions.values():
+                session.replies = {t: queue.Queue() for t in _REPLY_TYPES}
             start_body = wire.encode_round_start(ctx)
-            for cid, session in list(sessions.items()):
-                _drain_queue(session.votes)
-                _drain_queue(session.acks)
-                try:
-                    session.send(wire.MSG_ROUND_START, start_body)
-                except OSError:
-                    self._drop_session(session)
-                    del sessions[cid]
-            submissions: dict[str, list[MixPacket]] = {}
-            deadline = time.monotonic() + self.straggler_timeout
-            for cid, session in sessions.items():
-                remaining = max(0.0, deadline - time.monotonic())
-                try:
-                    submissions[cid] = session.votes.get(timeout=remaining)
-                except queue.Empty:
-                    log.warning("client %s missed the submission deadline", cid)
-            try:
-                result = self.round_server.run_round(ctx, submissions)
-            except InsufficientShufflers:  # pragma: no cover - checked above
-                return None
+            submissions = self._ask(
+                {cid: (session, start_body) for cid, session in sessions.items()},
+                wire.MSG_ROUND_START,
+                wire.MSG_VOTE_BATCH,
+                "client %s missed the submission deadline",
+            )
+            result = self.round_server.run_round(ctx, submissions)
+            with self._state_lock:
+                self.maintainer.ingest_votes(result.tally.elements())
+                senders = dict.fromkeys(result.acks, self.quota)
+                self._reports_open = (self.round_index, ctx.t_timestamp, senders)
+                self.round_index += 1
             for cid, acks in result.acks.items():
-                session = sessions.get(cid)
-                if session is not None:
-                    try:
-                        session.send(wire.MSG_ACK_BATCH, wire.encode_packet_batch(acks))
-                    except OSError:
-                        self._drop_session(session)
+                self._send(
+                    sessions[cid], wire.MSG_SENDER_ACKS, wire.encode_packet_batch(acks)
+                )
             if result.unknown_digests:
                 self._broadcast(
                     wire.MSG_HASH_REQUEST, wire.encode_hash_request(result.unknown_digests)
                 )
-            with self._state_lock:
-                self.maintainer.ingest_votes(result.tally.elements())
-                self.round_index += 1
             return result
 
     # -- wall-clock driver ----------------------------------------------------

@@ -687,12 +687,9 @@ def write_figure_batch(
         ),
     )
 
-    bw_universe = SyntheticUniverse(
-        UniverseConfig(2000, seed=seed, lb_fraction=0.35, cname_fraction=0.05)
-    )
-    report = run_bandwidth(
-        bw_universe, BandwidthConfig(hours=3, clients=2, n_popular=2000, seed=seed)
-    )
+    bw_universe = UniverseConfig(2000, seed=seed, lb_fraction=0.35, cname_fraction=0.05)
+    bw_config = BandwidthConfig(hours=3, clients=2, n_popular=2000, seed=seed)
+    report = run_bandwidth(SyntheticUniverse(bw_universe), bw_config)
     write_bandwidth_csv(report, out_dir / "bandwidth.csv")
 
     listsize = []
@@ -710,8 +707,11 @@ def write_figure_batch(
         out_dir / "manifest.json",
         trace_cfg,
         seed,
-        universe_size=universe.config.size,
+        universe=dataclasses.asdict(universe.config),
+        bandwidth_universe=dataclasses.asdict(bw_universe),
+        bandwidth_config=dataclasses.asdict(bw_config),
         n_values=n_values,
+        max_votes=max_votes,
         steady_hit=steady_hit,
         **fractions,
     )

@@ -1,9 +1,23 @@
 """Framed message protocol between the list server and its clients.
 
 Every frame is `u32 big-endian length | u8 message type | body`, where
-the length counts the type byte plus the body.  Body codecs below are
-pure functions; socket plumbing lives in a small blocking stream class
-shared by both daemons.
+the length counts the type byte plus the body.  Each type (MSG_ left
+off below) has one meaning; a relay hop's request and reply share it:
+
+    0x01  LIST_REQUEST        credentials: log in, or resync the list
+    0x02  LIST_SNAPSHOT       the whole list and its generation
+    0x03  LB_UPDATE_BATCH     pool rotations of records on the list
+    0x04  MEMBERSHIP_UPDATE   records leaving and joining the list
+    0x05  ROUND_START         a vote round begins: every client submits
+    0x06  VOTE_BATCH          a client's submission, or one relayed vote hop
+    0x07  ACK_BATCH           one relayed ack hop
+    0x08  MISBEHAVIOR_REPORT  the path of a packet whose ack did not verify
+    0x09  HASH_REQUEST        digests whose cleartext the server lacks
+    0x0A  ERROR               a refusal: code and reason
+    0x0B  SENDER_ACKS         the acks of a client's own packets, to verify
+
+Body codecs below are pure functions; socket plumbing lives in a small
+blocking stream class shared by both daemons.
 
 Every `decode_*` function returns a value or raises `FrameError`, which
 is `poplist.FormatError`: bodies are read with `poplist.Reader`, which
@@ -33,6 +47,7 @@ MSG_ACK_BATCH = 0x07
 MSG_MISBEHAVIOR_REPORT = 0x08
 MSG_HASH_REQUEST = 0x09
 MSG_ERROR = 0x0A
+MSG_SENDER_ACKS = 0x0B
 
 FRAME_HEADER_LEN = 5  # length field plus type byte
 MAX_FRAME_BODY = 1 << 26

@@ -325,7 +325,7 @@ def test_plotdata_batch(tmp_path, capsys):
         "latency.csv": "18f071979e10f46f3dd72146c426aa14103dc94adbaa9f4850b67791905af749",
         "bandwidth.csv": "1e7b15e306173306de87d83779586050bf484bfd99c991d2604209d2bff6caa4",
         "listsize.csv": "4d5d29641ceaaa32784683c3c2f89547f431afcdf3e99e991752a92a9edb6b2c",
-        "manifest.json": "b27204d3914a584417d78a621998cd19918445cd0e07423a020a2a30dddd04f2",
+        "manifest.json": "555f855e0bed026829347701015d66e2b6262f41454ab4063796d604bed2583e",
     }
     assert {p.name for p in out.iterdir()} == set(digests)
     manifest = json.loads((out / "manifest.json").read_text())

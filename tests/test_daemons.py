@@ -1,8 +1,11 @@
 """Server and client daemons talking over real loopback sockets."""
 
+import datetime
 import gc
+import ipaddress
 import logging
 import socket
+import ssl
 import threading
 import time
 import weakref
@@ -10,6 +13,10 @@ import zlib
 from random import Random
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 
 from lluad import wire
 from lluad.cli import main as cli_main
@@ -35,9 +42,24 @@ from lluad.maintenance import (
     UpstreamAnswer,
     UpstreamFailure,
 )
-from lluad.mixnet import AckOutcome, record_digest, select_shufflers
-from lluad.poplist import serialize
-from lluad.server import ClientRegistry, LluadServer, RegistryError
+from lluad.mixnet import (
+    AckOutcome,
+    LocalTransport,
+    MisbehaviorReport,
+    ReportLog,
+    RoundContext,
+    RoundServer,
+    ShufflerNode,
+    record_digest,
+    select_shufflers,
+)
+from lluad.poplist import build_list, serialize
+from lluad.server import (
+    TLS_HANDSHAKE_TIMEOUT,
+    ClientRegistry,
+    LluadServer,
+    RegistryError,
+)
 from lluad.simharness import FALLBACK_RELAY_HOPS
 
 
@@ -65,6 +87,7 @@ class World:
         shuffler_cap: int | None = None,
         n_records: int = 5,
         seed: int = 11,
+        tls: tuple[ssl.SSLContext, ssl.SSLContext] | None = None,
     ):
         rng = Random(seed)
         self.table: dict[RecordKey, UpstreamAnswer] = {}
@@ -110,9 +133,11 @@ class World:
             n_shuffle=n_shuffle,
             straggler_timeout=straggler_timeout,
             shuffler_cap=shuffler_cap,
+            ssl_context=tls and tls[0],
         )
         self.server.start()
         self.quota = quota
+        self.client_ssl = tls and tls[1]
         self.clients: dict[str, LluadClient] = {}
         for cid in keys:
             self.clients[cid] = self.make_client(cid, voting_rate=voting_rate)
@@ -131,6 +156,7 @@ class World:
             quota=self.quota,
             voting_rate=voting_rate,
             rng=Random(zlib.crc32(cid.encode())),
+            ssl_context=self.client_ssl,
         )
 
     def stop(self) -> None:
@@ -268,6 +294,68 @@ def test_reconnect_catches_up_after_missed_updates(world_factory):
     assert client.plist.same_structure(world.maintainer.plist)
 
 
+def self_signed_tls(ip: str, directory) -> tuple[ssl.SSLContext, ssl.SSLContext]:
+    """A server context with a fresh certificate for `ip` (its PEM files
+    written to `directory`), and a client context that trusts only it."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "lluad test")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(minutes=5))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(
+            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address(ip))]),
+            critical=False,
+        )
+        .sign(key, hashes.SHA256())
+    )
+    cert_pem = cert.public_bytes(serialization.Encoding.PEM)
+    key_pem = key.private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    )
+    chain = directory / "server.pem"
+    chain.write_bytes(cert_pem + key_pem)
+    server_ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server_ctx.load_cert_chain(chain)
+    client_ctx = ssl.create_default_context(cadata=cert_pem.decode())
+    return server_ctx, client_ctx
+
+
+def test_tls_sessions_serve_the_list_and_refuse_plain_tcp(tmp_path):
+    tls = self_signed_tls("127.0.0.1", tmp_path)
+    world = World(n_shufflers=2, n_plain=1, n_shuffle=1, tls=tls)
+    try:
+        client = world.clients["cli0"]
+        assert client.generation == world.maintainer.generation
+        key = world.list_keys[0]
+        response = parse_response(client.resolve(build_query(31, key)))
+        assert response.answers[0].data == world.table[key].answers[0]
+        with socket.create_connection(world.server.address, timeout=5.0) as plain:
+            wire.FrameStream(plain).send(
+                wire.MSG_LIST_REQUEST, wire.encode_list_request("cli0", "tok-cli0")
+            )
+            received = b""
+            try:
+                while chunk := plain.recv(4096):
+                    received += chunk
+            except ConnectionResetError:
+                pass
+        # at most a TLS alert record, never a frame
+        assert received[:1] in (b"", b"\x15")
+        assert client.connected
+    finally:
+        started = time.monotonic()
+        world.stop()
+        assert time.monotonic() - started < TLS_HANDSHAKE_TIMEOUT / 2
+
+
 # -- rounds over sockets -------------------------------------------------------
 
 
@@ -291,6 +379,88 @@ def test_vote_round_over_loopback(world_factory):
     # tallies reach the ranking on the next refresh
     messages = world.server.trigger_refresh(now=5000.0)
     assert messages == 0  # same records stay, nothing to broadcast
+
+
+def test_own_acks_are_verified_while_a_relay_table_is_held():
+    """The client tells its own acks from relay work by frame type alone,
+    not by whether it still holds a flow table."""
+    rng = Random(31)
+    shufflers = [keypair(rng) for _ in range(2)]
+    server_priv, server_pub = keypair(rng)
+    quota = 3
+    listener = socket.create_server(("127.0.0.1", 0))
+    client = LluadClient(
+        "shuf0",
+        "tok-shuf0",
+        listener.getsockname()[:2],
+        shuffler_pubs={j: pub for j, (_, pub) in enumerate(shufflers)},
+        server_pub=server_pub,
+        shuffler_index=0,
+        shuffler_priv=shufflers[0][0],
+        quota=quota,
+        rng=Random(32),
+    )
+    connecting = threading.Thread(target=client.connect)
+    connecting.start()
+    conn, _ = listener.accept()
+    stream = wire.FrameStream(conn)
+    try:
+        assert stream.recv()[0] == wire.MSG_LIST_REQUEST
+        stream.send(wire.MSG_LIST_SNAPSHOT, wire.encode_list_snapshot(build_list([])))
+        connecting.join()
+        ctx = RoundContext.for_online(808, [0, 1], 2, n_shuffle=1)
+        stream.send(wire.MSG_ROUND_START, wire.encode_round_start(ctx))
+        msg_type, body = stream.recv()
+        assert msg_type == wire.MSG_VOTE_BATCH
+        submission = wire.decode_packet_batch(body)
+        assert len(submission) == quota
+        # one relay vote request: the client now holds that hop's flow table
+        stream.send(wire.MSG_VOTE_BATCH, wire.encode_packet_batch(submission))
+        msg_type, body = stream.recv()
+        assert msg_type == wire.MSG_VOTE_BATCH
+        assert len(wire.decode_packet_batch(body)) == quota
+        # the round itself runs in-process, to make the client's true acks
+        nodes = {j: ShufflerNode(j, priv) for j, (priv, _) in enumerate(shufflers)}
+        result = RoundServer(server_priv, quota, LocalTransport(nodes)).run_round(
+            ctx, {"shuf0": submission}
+        )
+        acks = wire.encode_packet_batch(result.acks["shuf0"])
+        stream.send(wire.MSG_SENDER_ACKS, acks)
+        assert client.wait_for_rounds(1, timeout=10.0)
+        assert client.last_outcomes == [AckOutcome.VERIFIED] * quota
+        assert client.reports_sent == 0
+        assert len(client.node._flow_stack) == 1
+    finally:
+        client.close()
+        stream.close()
+        listener.close()
+
+
+def test_server_keeps_at_most_quota_reports_per_sender_and_round(world_factory):
+    world = world_factory(n_shufflers=3, n_plain=1, n_shuffle=2, quota=2)
+    world.server.report_log = ReportLog(window_rounds=1)
+    reporter = world.clients["cli0"]
+
+    def round_then_reports(t: int, rounds: int, reports) -> list:
+        assert world.server.run_vote_round(t) is not None
+        assert reporter.wait_for_rounds(rounds)
+        for report in reports:
+            reporter._stream.send(
+                wire.MSG_MISBEHAVIOR_REPORT, wire.encode_misbehavior_report(report)
+            )
+        # the session answers a resync only after filing every frame before it
+        before = reporter.plist
+        reporter.resync()
+        assert wait_until(lambda: reporter.plist is not before)
+        return [report for _, report in world.server.report_log._entries]
+
+    flood = 10 * world.quota
+    first, second = MisbehaviorReport(700, (0, 1)), MisbehaviorReport(701, (1, 2))
+    assert round_then_reports(700, 1, [first] * flood) == [first] * world.quota
+    # a report on an earlier round is refused, and the first round's
+    # entries have left the one-round window
+    kept = round_then_reports(701, 2, [first] + [second] * flood)
+    assert kept == [second] * world.quota
 
 
 def test_round_aborts_without_enough_shufflers(world_factory):
@@ -382,6 +552,23 @@ def test_resolution_hits_list_and_falls_back(world_factory):
     assert client.resolve(b"\x00\x01\x02") is None  # malformed: drop
     unsupported = bytearray(build_query(24, hit_key))
     unsupported[-3] = 16  # TXT qtype
+    assert parse_response(client.resolve(bytes(unsupported))).rcode == 2
+
+    class Canned:
+        """A fallback that answers every query with one fixed reply."""
+
+        def __init__(self):
+            self.queries = []
+
+        def forward(self, query: bytes) -> bytes:
+            self.queries.append(query)
+            return b"canned reply"
+
+    client.fallback = Canned()
+    assert client.resolve(bytes(unsupported)) == b"canned reply"
+    assert client.fallback.queries == [bytes(unsupported)]
+    assert client.misses == 4
+    client.fallback = None
     assert parse_response(client.resolve(bytes(unsupported))).rcode == 2
 
 
