@@ -410,29 +410,26 @@ class LluadClient:
         self._sent_votes = []
         if self.node is not None:
             self.node.begin_round()
-        if not ctx.can_run:
-            return
         if any(j not in self.shuffler_pubs for j in ctx.online_indexes):
             log.warning("client %s: unknown shuffler online, skipping", self.client_id)
-            return
-        with self._buffer_lock:
-            vote_keys = self.buffer.drain()
-        priority = self._pending_fragments[: self.quota]
-        del self._pending_fragments[: len(priority)]
-        planned = client_submit(
-            vote_keys,
-            ctx,
-            self.quota,
-            self.shuffler_pubs,
-            self.server_pub,
-            self._rng,
-            priority_payloads=priority,
-        )
-        self._remember_hashed(vote_keys, planned)
-        self._sent_votes = planned
+        elif ctx.can_run:
+            with self._buffer_lock:
+                vote_keys = self.buffer.drain()
+            priority = self._pending_fragments[: self.quota]
+            del self._pending_fragments[: len(priority)]
+            self._sent_votes = client_submit(
+                vote_keys,
+                ctx,
+                self.quota,
+                self.shuffler_pubs,
+                self.server_pub,
+                self._rng,
+                priority_payloads=priority,
+            )
+            self._remember_hashed(vote_keys, self._sent_votes)
         self._stream.send(
             wire.MSG_VOTE_BATCH,
-            wire.encode_packet_batch([vote.packet for vote in planned]),
+            wire.encode_packet_batch([vote.packet for vote in self._sent_votes]),
         )
 
     def _remember_hashed(
@@ -451,12 +448,13 @@ class LluadClient:
     def _on_relay(self, msg_type: int, batch: list[MixPacket]) -> None:
         """Relay one vote or ack hop, as the frame type says; reply in kind."""
         assert self._stream is not None
+        out: list[MixPacket] = []
         if self.node is None or self._round_ctx is None:
             log.warning("client %s: relay batch without shuffler role", self.client_id)
-            return
-        vote_hop = msg_type == wire.MSG_VOTE_BATCH
-        relay = self.node.process_batch if vote_hop else self.node.process_acks
-        out = relay(batch, self._round_ctx.t_timestamp)
+        elif msg_type == wire.MSG_VOTE_BATCH:
+            out = self.node.process_batch(batch, self._round_ctx.t_timestamp)
+        else:
+            out = self.node.process_acks(batch, self._round_ctx.t_timestamp)
         self._stream.send(msg_type, wire.encode_packet_batch(out))
 
     def _on_sender_acks(self, batch: list[MixPacket]) -> None:

@@ -39,6 +39,7 @@ ERR_PROTOCOL = 2
 ERR_ROUND_ABORTED = 3
 
 TLS_HANDSHAKE_TIMEOUT = 10.0  # seconds
+SEND_TIMEOUT = 2.0  # seconds a session may take no bytes before it is dropped
 
 
 class AuthFailure(Exception):
@@ -131,44 +132,23 @@ class ClientRegistry:
         return entry
 
 
-# submissions and relay replies are queued by the frame type they come in
-_REPLY_TYPES = (wire.MSG_VOTE_BATCH, wire.MSG_ACK_BATCH)
-
-
 class _Session:
+    """One connection.  `asked` counts the round requests sent and `taken`
+    the replies consumed, by the round thread; `received` counts the
+    replies queued, by the session's reader thread."""
+
     def __init__(self, stream: wire.FrameStream, peer):
         self.stream = stream
         self.peer = peer
         self.client_id: str | None = None
         self.entry: RegistryEntry | None = None
-        self.replies = {t: queue.Queue() for t in _REPLY_TYPES}
+        self.replies: queue.Queue = queue.Queue()
+        self.asked = self.received = self.taken = 0
         self._write_lock = threading.Lock()
 
     def send(self, msg_type: int, body: bytes) -> None:
         with self._write_lock:
             self.stream.send(msg_type, body)
-
-
-class _SessionTransport:
-    """Round transport that reaches shufflers through their sessions."""
-
-    def __init__(self, server: "LluadServer"):
-        self.server = server
-
-    def begin_round(self, ctx: RoundContext) -> None:
-        # shuffler state reset rides on the ROUND_START broadcast
-        return None
-
-    def exchange(self, assignments, phase: str, hop: int, t_timestamp: int):
-        msg_type = wire.MSG_VOTE_BATCH if phase == "vote" else wire.MSG_ACK_BATCH
-        requests = {}
-        for j, batch in assignments.items():
-            session = self.server._shuffler_session(j)
-            if session is not None:
-                requests[j] = (session, wire.encode_packet_batch(batch))
-        return self.server._ask(
-            requests, msg_type, msg_type, f"shuffler %s missed {phase} hop {hop}"
-        )
 
 
 class LluadServer:
@@ -207,10 +187,7 @@ class LluadServer:
         self._connections: dict[_Session, threading.Thread] = {}
         self._stopping = False
         self.round_server = RoundServer(
-            server_priv,
-            quota,
-            _SessionTransport(self),
-            known_records=list(maintainer.plist.records),
+            server_priv, quota, self, known_records=list(maintainer.plist.records)
         )
         self.report_log = ReportLog()
         self.round_index = 0
@@ -252,19 +229,15 @@ class LluadServer:
                 conn, peer = self._listener.accept()
             except OSError:
                 return
+            conn.settimeout(SEND_TIMEOUT)
             if self._ssl_context is not None:
-                # bounded, so that a stalled handshake cannot hold up stop()
-                conn.settimeout(TLS_HANDSHAKE_TIMEOUT)
-                try:
-                    conn = self._ssl_context.wrap_socket(conn, server_side=True)
-                except OSError as exc:
-                    log.warning("TLS handshake failed from %s: %s", peer, exc)
-                    conn.close()
-                    continue
-                conn.settimeout(None)
+                # handshake on the session's thread: a silent peer delays no one
+                conn = self._ssl_context.wrap_socket(
+                    conn, server_side=True, do_handshake_on_connect=False
+                )
             session = _Session(wire.FrameStream(conn), peer)
             thread = threading.Thread(
-                target=self._session_loop, args=(session,), daemon=True
+                target=self._session_loop, args=(session, conn), daemon=True
             )
             with self._state_lock:
                 self._connections[session] = thread
@@ -272,8 +245,16 @@ class LluadServer:
 
     # -- sessions ----------------------------------------------------------
 
-    def _session_loop(self, session: _Session) -> None:
+    def _session_loop(self, session: _Session, conn: socket.socket) -> None:
         try:
+            if isinstance(conn, ssl.SSLSocket):
+                conn.settimeout(TLS_HANDSHAKE_TIMEOUT)
+                try:
+                    conn.do_handshake()
+                except OSError as exc:
+                    log.warning("TLS handshake failed from %s: %s", session.peer, exc)
+                    return
+                conn.settimeout(SEND_TIMEOUT)
             self._serve_session(session)
         except (wire.ConnectionClosed, OSError):
             pass
@@ -315,8 +296,10 @@ class LluadServer:
                         wire.MSG_LIST_SNAPSHOT,
                         wire.encode_list_snapshot(self.maintainer.plist),
                     )
-            elif msg_type in session.replies:
-                session.replies[msg_type].put(wire.decode_packet_batch(body))
+            elif msg_type in (wire.MSG_VOTE_BATCH, wire.MSG_ACK_BATCH):
+                if session.received < session.asked:  # else it answers nothing
+                    session.replies.put(wire.decode_packet_batch(body))
+                    session.received += 1
             elif msg_type == wire.MSG_MISBEHAVIOR_REPORT:
                 report = wire.decode_misbehavior_report(body)
                 with self._state_lock:
@@ -346,32 +329,34 @@ class LluadServer:
             if session.client_id and self._sessions.get(session.client_id) is session:
                 del self._sessions[session.client_id]
 
-    def _shuffler_session(self, index: int) -> _Session | None:
-        cid = self.registry.shuffler_ids[index]
-        with self._state_lock:
-            return self._sessions.get(cid)
-
     def _broadcast(self, msg_type: int, body: bytes) -> None:
         with self._state_lock:
             sessions = list(self._sessions.values())
         for session in sessions:
             self._send(session, msg_type, body)
 
-    def _ask(self, requests: dict, msg_type: int, reply_type: int, missed: str) -> dict:
+    def _ask(self, requests: dict, msg_type: int, missed: str) -> dict:
         """Send each (session, body) of `requests` as a `msg_type` frame, then
-        take one `reply_type` batch, by one straggler deadline, from every
-        session that got its frame.  `missed` logs each key left without."""
-        asked = {
-            key: session.replies[reply_type]
-            for key, (session, body) in requests.items()
-            if self._send(session, msg_type, body)
-        }
+        take the reply to it, by one straggler deadline, from each session
+        that got it: its `asked`-th reply, since a session answers in order.
+        Replies before it are late, and dropped.  `missed` logs each key
+        left without."""
+        asked = {}
+        for key, (session, body) in requests.items():
+            session.asked += 1  # before the send, so no reply finds it behind
+            if self._send(session, msg_type, body):
+                asked[key] = session
         replies = {}
         deadline = time.monotonic() + self.straggler_timeout
-        for key, pending in asked.items():
-            remaining = max(0.0, deadline - time.monotonic())
+        for key, session in asked.items():
             try:
-                replies[key] = pending.get(timeout=remaining)
+                while session.taken < session.asked:
+                    remaining = max(0.0, deadline - time.monotonic())
+                    reply = session.replies.get(timeout=remaining)
+                    session.taken += 1
+                    if session.taken < session.asked:
+                        log.warning("dropped a late reply from %s", session.client_id)
+                replies[key] = reply
             except queue.Empty:
                 log.warning(missed, key)
         return replies
@@ -408,6 +393,21 @@ class LluadServer:
 
     # -- vote rounds --------------------------------------------------------
 
+    def begin_round(self, ctx: RoundContext) -> None:
+        """Round transport of `round_server`: shufflers reset on ROUND_START."""
+
+    def exchange(self, assignments, phase: str, hop: int, t_timestamp: int):
+        msg_type = wire.MSG_VOTE_BATCH if phase == "vote" else wire.MSG_ACK_BATCH
+        ids = self.registry.shuffler_ids
+        with self._state_lock:
+            sessions = {j: self._sessions.get(ids[j]) for j in assignments}
+        requests = {
+            j: (sessions[j], wire.encode_packet_batch(batch))
+            for j, batch in assignments.items()
+            if sessions[j] is not None
+        }
+        return self._ask(requests, msg_type, f"shuffler %s missed {phase} hop {hop}")
+
     def run_vote_round(self, t_timestamp: int) -> RoundResult | None:
         """Announce, collect, relay, tally, acknowledge.  Returns None if
         the round could not run for lack of online shufflers."""
@@ -436,15 +436,11 @@ class LluadServer:
                 )
                 return None
 
-            # the round involves exactly the sessions present at the start, on
-            # fresh reply queues; later joiners wait for the next one
-            for session in sessions.values():
-                session.replies = {t: queue.Queue() for t in _REPLY_TYPES}
+            # later joiners wait for the next round
             start_body = wire.encode_round_start(ctx)
             submissions = self._ask(
                 {cid: (session, start_body) for cid, session in sessions.items()},
                 wire.MSG_ROUND_START,
-                wire.MSG_VOTE_BATCH,
                 "client %s missed the submission deadline",
             )
             result = self.round_server.run_round(ctx, submissions)

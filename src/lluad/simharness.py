@@ -35,6 +35,7 @@ from .maintenance import (
     MaintenanceConfig,
     Maintainer,
     MembershipUpdate,
+    SimulatedUpstream,
 )
 from .poplist import build_list, lookup, record_count, serialize
 from .traces import (
@@ -389,16 +390,14 @@ def run_bandwidth(
         raise ValueError(f"unknown fallback mode: {config.fallback_mode}")
     counter = {"queries": 0}
     clock = [0.0]
-    inner = universe.upstream(clock=lambda: clock[0])
 
-    class _CountingUpstream:
-        def resolve(self, key):
-            counter["queries"] += 1
-            return inner.resolve(key)
+    def resolve(key):
+        counter["queries"] += 1
+        return universe.resolve(key, now=clock[0])
 
     maintainer = Maintainer(
         MaintenanceConfig(n_popular=config.n_popular),
-        _CountingUpstream(),
+        SimulatedUpstream(resolve),
         rng=Random(("bandwidth", config.seed).__repr__()),
     )
     # seed the list with the whole universe, then charge the snapshot

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
-from .maintenance import UpstreamAnswer, UpstreamFailure
+from .maintenance import SimulatedUpstream, UpstreamAnswer, UpstreamFailure
 from .poplist import RecordDef
 
 TRACE_HEADER = ["unix_ts", "client_id", "qname", "qtype"]
@@ -341,15 +341,9 @@ class SyntheticUniverse:
             return UpstreamAnswer(self._ttl[rank], (self.active_answer(rank, now),))
         return UpstreamAnswer(self._ttl[rank], (self._answers[rank],))
 
-    def upstream(self, clock=lambda: 0.0):
+    def upstream(self, clock=lambda: 0.0) -> SimulatedUpstream:
         """Adapter with a controllable clock for the maintenance loop."""
-        universe = self
-
-        class _Upstream:
-            def resolve(self, key: RecordKey) -> UpstreamAnswer:
-                return universe.resolve(key, now=clock())
-
-        return _Upstream()
+        return SimulatedUpstream(lambda key: self.resolve(key, now=clock()))
 
     def record_defs(self, n: int, now: float = 0.0) -> list[RecordDef]:
         """Definitions for the top n ranks, closed over CNAME targets."""

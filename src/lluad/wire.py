@@ -16,6 +16,11 @@ off below) has one meaning; a relay hop's request and reply share it:
     0x0A  ERROR               a refusal: code and reason
     0x0B  SENDER_ACKS         the acks of a client's own packets, to verify
 
+A client answers each ROUND_START, VOTE_BATCH and ACK_BATCH with one
+batch (a VOTE_BATCH to the first two; empty if it has none), in order:
+the n-th reply on a session answers the n-th request, so no frame needs
+a round or hop tag.
+
 Body codecs below are pure functions; socket plumbing lives in a small
 blocking stream class shared by both daemons.
 
@@ -69,18 +74,25 @@ def encode_frame(msg_type: int, body: bytes) -> bytes:
 
 
 class FrameStream:
-    """Blocking framed messages over a connected stream socket."""
+    """Blocking framed messages over a connected stream socket.  A socket
+    timeout fails a send that makes no progress; reads wait through it."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
 
     def send(self, msg_type: int, body: bytes = b"") -> None:
-        self._sock.sendall(encode_frame(msg_type, body))
+        # in chunks: a TLS write has one deadline for all it is given
+        frame = memoryview(encode_frame(msg_type, body))
+        while frame:
+            frame = frame[self._sock.send(frame[:16384]) :]
 
     def _read_exact(self, n: int) -> bytes:
         chunks = []
         while n:
-            chunk = self._sock.recv(n)
+            try:
+                chunk = self._sock.recv(n)
+            except socket.timeout:
+                continue
             if not chunk:
                 raise ConnectionClosed("peer closed the connection")
             chunks.append(chunk)

@@ -10,6 +10,7 @@ import threading
 import time
 import weakref
 import zlib
+from collections import Counter
 from random import Random
 
 import pytest
@@ -43,6 +44,7 @@ from lluad.maintenance import (
     UpstreamFailure,
 )
 from lluad.mixnet import (
+    DIGEST_LEN,
     AckOutcome,
     LocalTransport,
     MisbehaviorReport,
@@ -356,6 +358,25 @@ def test_tls_sessions_serve_the_list_and_refuse_plain_tcp(tmp_path):
         assert time.monotonic() - started < TLS_HANDSHAKE_TIMEOUT / 2
 
 
+def test_a_silent_tls_peer_holds_up_no_other_connection(tmp_path):
+    tls = self_signed_tls("127.0.0.1", tmp_path)
+    world = World(n_shufflers=2, n_plain=1, n_shuffle=1, tls=tls)
+    silent = socket.create_connection(world.server.address)
+    try:
+        world.clients.pop("cli0").close()
+        fresh = world.clients["cli0"] = world.make_client("cli0")
+        started = time.monotonic()
+        fresh.connect()
+        assert time.monotonic() - started < 2.0
+        assert fresh.generation == world.maintainer.generation
+    finally:
+        started = time.monotonic()
+        world.stop()
+        stopped = time.monotonic() - started
+        silent.close()
+    assert stopped < 2.0
+
+
 # -- rounds over sockets -------------------------------------------------------
 
 
@@ -486,6 +507,106 @@ def test_straggler_is_skipped_not_waited_for(world_factory):
         assert client.wait_for_rounds(1)
         assert client.last_outcomes == [AckOutcome.VERIFIED] * world.quota
     stream.close()
+
+
+def test_a_late_shuffler_reply_is_not_taken_for_the_next_hop(
+    world_factory, monkeypatch, caplog
+):
+    world = world_factory(
+        n_shufflers=4, n_plain=2, n_shuffle=3, quota=4, straggler_timeout=1.0
+    )
+    node = world.clients["shuf0"].node
+    process_batch = node.process_batch
+    late = []
+
+    def late_the_first_time(batch, t_timestamp):
+        if not late:
+            late.append(len(batch))
+            time.sleep(1.5)
+        return process_batch(batch, t_timestamp)
+
+    monkeypatch.setattr(node, "process_batch", late_the_first_time)
+    with caplog.at_level(logging.WARNING, logger="lluad.server"):
+        result = world.server.run_vote_round(1700000100)
+    assert result is not None
+    assert late[0] > 0
+    assert result.dropped_per_hop == {1: late[0]}
+    assert "late reply from shuf0" in caplog.text
+    outcomes = Counter()
+    for client in world.clients.values():
+        assert client.wait_for_rounds(1)
+        outcomes.update(client.last_outcomes)
+    # only the packets of the late batch lose their acks
+    assert outcomes[AckOutcome.VERIFIED] == len(world.clients) * world.quota - late[0]
+
+
+def test_replies_to_no_request_are_dropped(world_factory):
+    world = world_factory(n_shufflers=3, n_plain=1, n_shuffle=2)
+
+    def round_verifies(t: int, rounds: int) -> None:
+        result = world.server.run_vote_round(t)
+        assert result is not None
+        assert not result.dropped_per_hop
+        for client in world.clients.values():
+            assert client.wait_for_rounds(rounds)
+            assert client.last_outcomes == [AckOutcome.VERIFIED] * world.quota
+
+    round_verifies(1700000200, 1)
+    flooder = world.clients["cli0"]
+    for _ in range(1000):
+        flooder._stream.send(wire.MSG_VOTE_BATCH, wire.encode_packet_batch([]))
+    # the session answers a resync only after reading every frame before it
+    before = flooder.plist
+    flooder.resync()
+    assert wait_until(lambda: flooder.plist is not before)
+    assert world.server._sessions["cli0"].replies.qsize() == 0
+    round_verifies(1700000201, 2)
+
+
+@pytest.mark.parametrize("tls", [False, True], ids=["tcp", "tls"])
+def test_a_stalled_reader_is_dropped_and_the_server_serves_on(tls, tmp_path):
+    contexts = self_signed_tls("127.0.0.1", tmp_path) if tls else None
+    world = World(n_shufflers=2, n_plain=2, n_shuffle=1, tls=contexts)
+    stalled = None
+    try:
+        world.clients.pop("cli1").close()
+        world.clients.pop("cli0").close()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(world.server.address)
+        if tls:
+            sock = contexts[1].wrap_socket(sock, server_hostname="127.0.0.1")
+        stalled = wire.FrameStream(sock)
+        stalled.send(wire.MSG_LIST_REQUEST, wire.encode_list_request("cli1", "tok-cli1"))
+        assert stalled.recv()[0] == wire.MSG_LIST_SNAPSHOT  # and never reads again
+
+        # about 200 kB a frame, broadcast under the state lock as updates are
+        body = wire.encode_hash_request([bytes(DIGEST_LEN)] * 6900)
+
+        def publish():
+            with world.server._state_lock:
+                for _ in range(25):
+                    world.server._broadcast(wire.MSG_HASH_REQUEST, body)
+
+        publisher = threading.Thread(target=publish)
+        publisher.start()
+        fresh = world.clients["cli0"] = world.make_client("cli0")
+        connecting = threading.Thread(target=fresh.connect)
+        connecting.start()
+        connecting.join(timeout=10.0)
+        assert not connecting.is_alive()
+        assert fresh.generation == world.maintainer.generation
+        publisher.join(timeout=10.0)
+        assert not publisher.is_alive()
+        assert "cli1" not in world.server._sessions
+
+        assert world.server.run_vote_round(1700000300) is not None
+        assert fresh.wait_for_rounds(1, timeout=10.0)
+        assert fresh.last_outcomes == [AckOutcome.VERIFIED] * world.quota
+    finally:
+        if stalled is not None:
+            stalled.close()
+        world.stop()
 
 
 def test_shuffler_cap_restricts_participants(world_factory):

@@ -17,8 +17,9 @@ alternating pairs on the seeds of the first min(3, --pairs) pairs.
 Writes `BENCH_<n>.json` at the repository root with the machine, each
 side's median, quartiles and pair wins per workload and end-to-end
 metric, attempted and failed operations, every run, and each side's
-median over its traced runs of every per-layer figure.  Prints the
-end-to-end table.
+median over its traced runs of every per-layer figure, and each side's
+`src/lluad` line count, per module and in total.  Prints the end-to-end
+table and the net change in source lines.
 Exits 1 when any run is incorrect or fails an operation.  Standard
 library only.
 """
@@ -86,6 +87,26 @@ def _run(side_dir: Path, workload: str, seed: int, seconds: float, trace: int) -
         "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
         "units": {k: v["unit"] for k, v in summary["metrics"].items()},
     }
+
+
+def _source_lines(side_dir: Path) -> dict:
+    """Lines (as `wc -l` counts them) of each `src/lluad` module, and their total."""
+    modules = {
+        path.name: path.read_bytes().count(b"\n")
+        for path in sorted((side_dir / "src" / "lluad").glob("*.py"))
+    }
+    return {"modules": modules, "total": sum(modules.values())}
+
+
+def _line_changes(lines: dict) -> str:
+    base, change = lines["base"], lines["change"]
+    out = [f"src/lluad lines: {base['total']} -> {change['total']} "
+           f"({change['total'] - base['total']:+d})"]
+    for name in sorted(base["modules"].keys() | change["modules"].keys()):
+        before, after = base["modules"].get(name, 0), change["modules"].get(name, 0)
+        if before != after:
+            out.append(f"  {name}: {before} -> {after} ({after - before:+d})")
+    return "\n".join(out)
 
 
 def _spread(values: list[float]) -> dict:
@@ -200,6 +221,7 @@ def main(argv=None) -> int:
         dirs = {side: Path(tmp) / side for side in SIDES}
         _copy_base(base_rev, dirs["base"])
         _copy_working_tree(dirs["change"])
+        lines = {side: _source_lines(dirs[side]) for side in SIDES}
         plan = []
         for workload in args.workload or workloads:
             for trace, pairs in ((0, args.pairs), (1, traced_pairs)):
@@ -228,12 +250,14 @@ def main(argv=None) -> int:
                    "implementation": platform.python_implementation()},
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
                      "seeds": seeds, "traced_seeds": seeds[:traced_pairs]},
+        "source_lines": lines,
         "workloads": summary,
         "runs": runs,
     }
     path = ROOT / f"BENCH_{number}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(_table(summary))
+    print(_line_changes(lines))
     print(f"wrote {path}")
     bad = [r for r in runs if not r["correct"] or r["failed"]]
     for r in bad:
