@@ -2,11 +2,12 @@
 serving, update broadcasts, and vote-round orchestration over framed
 sockets.
 
-Thread model: one acceptor thread, one reader thread per session, and a
-single caller-owned control thread driving refresh / requery / round
-triggers.  List state and session registry mutations are serialized
-under one lock; round orchestration holds its own lock so at most one
-round runs at a time.
+One owner per piece of state: the caller's control thread owns the
+maintainer and its triggers, so maintenance I/O holds no lock a session
+needs; the acceptor thread owns the connection table and starts one
+reader thread per session; `_state_lock` guards the sessions,
+`_published` (the list the broadcasts have reached) and the report
+window.  `_round_lock` runs one round at a time.
 """
 
 from __future__ import annotations
@@ -133,14 +134,13 @@ class ClientRegistry:
 
 
 class _Session:
-    """One connection.  `asked` counts the round requests sent and `taken`
-    the replies consumed, by the round thread; `received` counts the
-    replies queued, by the session's reader thread."""
+    """One connection, logged in once `entry` is set.  `asked` counts the
+    round requests sent and `taken` the replies consumed, by the round
+    thread; `received` the replies queued, by the session's reader."""
 
     def __init__(self, stream: wire.FrameStream, peer):
         self.stream = stream
         self.peer = peer
-        self.client_id: str | None = None
         self.entry: RegistryEntry | None = None
         self.replies: queue.Queue = queue.Queue()
         self.asked = self.received = self.taken = 0
@@ -181,6 +181,7 @@ class LluadServer:
         self._state_lock = threading.RLock()
         self._round_lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
+        self._published = maintainer.plist
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         # every open connection, authenticated or not, and its thread
@@ -214,11 +215,8 @@ class LluadServer:
         self._stopping = True
         if self._listener is not None:
             wire.close_socket(self._listener)
-        if self._accept_thread is not None:
             self._accept_thread.join()
-        with self._state_lock:
-            connections = list(self._connections.items())
-        for session, thread in connections:
+        for session, thread in self._connections.items():
             session.stream.close()
             thread.join()
 
@@ -239,8 +237,8 @@ class LluadServer:
             thread = threading.Thread(
                 target=self._session_loop, args=(session, conn), daemon=True
             )
-            with self._state_lock:
-                self._connections[session] = thread
+            live = {s: t for s, t in self._connections.items() if t.is_alive()}
+            self._connections = {**live, session: thread}
             thread.start()
 
     # -- sessions ----------------------------------------------------------
@@ -263,39 +261,16 @@ class LluadServer:
             self._send_error(session, ERR_PROTOCOL, str(exc))
         finally:
             self._drop_session(session)
-            with self._state_lock:
-                del self._connections[session]
 
     def _serve_session(self, session: _Session) -> None:
-        msg_type, body = session.stream.recv()
-        if msg_type != wire.MSG_LIST_REQUEST:
-            self._send_error(session, ERR_PROTOCOL, "authenticate first")
-            return
-        try:
-            client_id, token = wire.decode_list_request(body)
-            session.entry = self.registry.authenticate(client_id, token)
-        except (wire.FrameError, AuthFailure) as exc:
-            self._send_error(session, ERR_AUTH, str(exc))
-            return
-        session.client_id = client_id
-        with self._state_lock:
-            old = self._sessions.get(client_id)
-            if old is not None:
-                old.stream.close()
-            self._sessions[client_id] = session
-            session.send(
-                wire.MSG_LIST_SNAPSHOT, wire.encode_list_snapshot(self.maintainer.plist)
-            )
         while True:
             msg_type, body = session.stream.recv()
             if msg_type == wire.MSG_LIST_REQUEST:
-                # resync: credentials repeated, fresh snapshot back
-                wire.decode_list_request(body)
-                with self._state_lock:
-                    session.send(
-                        wire.MSG_LIST_SNAPSHOT,
-                        wire.encode_list_snapshot(self.maintainer.plist),
-                    )
+                if not self._login(session, body):
+                    return
+            elif session.entry is None:
+                self._send_error(session, ERR_PROTOCOL, "authenticate first")
+                return
             elif msg_type in (wire.MSG_VOTE_BATCH, wire.MSG_ACK_BATCH):
                 if session.received < session.asked:  # else it answers nothing
                     session.replies.put(wire.decode_packet_batch(body))
@@ -305,11 +280,34 @@ class LluadServer:
                 with self._state_lock:
                     # only on the round that just ran, at most quota per sender
                     round_index, t, left = self._reports_open
-                    if report.t_timestamp == t and left.get(session.client_id):
-                        left[session.client_id] -= 1
+                    if report.t_timestamp == t and left.get(session.entry.client_id):
+                        left[session.entry.client_id] -= 1
                         self.report_log.add(round_index, report)
             else:
                 raise wire.FrameError(f"unexpected message type 0x{msg_type:02x}")
+
+    def _login(self, session: _Session, body: bytes) -> bool:
+        """Authenticate a LIST_REQUEST (a first frame or a resync), then
+        (re)register the session and send it the published list.  False,
+        after ERR_AUTH, ends the session."""
+        try:
+            entry = self.registry.authenticate(*wire.decode_list_request(body))
+            if session.entry not in (None, entry):
+                raise AuthFailure(f"session already serves {session.entry.client_id!r}")
+        except (wire.FrameError, AuthFailure) as exc:
+            self._send_error(session, ERR_AUTH, str(exc))
+            return False
+        with self._state_lock:
+            # sent first: a session dropped or displaced meanwhile fails here
+            session.send(
+                wire.MSG_LIST_SNAPSHOT, wire.encode_list_snapshot(self._published)
+            )
+            session.entry = entry
+            old = self._sessions.get(entry.client_id, session)
+            if old is not session:
+                old.stream.close()
+            self._sessions[entry.client_id] = session
+        return True
 
     def _send(self, session: _Session, msg_type: int, body: bytes) -> bool:
         """Send one frame; a session that cannot take it is dropped."""
@@ -326,8 +324,8 @@ class LluadServer:
     def _drop_session(self, session: _Session) -> None:
         session.stream.close()
         with self._state_lock:
-            if session.client_id and self._sessions.get(session.client_id) is session:
-                del self._sessions[session.client_id]
+            if session.entry and self._sessions.get(session.entry.client_id) is session:
+                del self._sessions[session.entry.client_id]
 
     def _broadcast(self, msg_type: int, body: bytes) -> None:
         with self._state_lock:
@@ -355,7 +353,7 @@ class LluadServer:
                     reply = session.replies.get(timeout=remaining)
                     session.taken += 1
                     if session.taken < session.asked:
-                        log.warning("dropped a late reply from %s", session.client_id)
+                        log.warning("dropped a late reply from %s", session.entry.client_id)
                 replies[key] = reply
             except queue.Empty:
                 log.warning(missed, key)
@@ -363,33 +361,32 @@ class LluadServer:
 
     # -- maintenance triggers ------------------------------------------------
 
-    def _publish(self, messages) -> None:
-        for message in messages:
-            if isinstance(message, MembershipUpdate):
-                for record in message.additions:
-                    self.round_server.learn_record(record.key)
-                self._broadcast(
-                    wire.MSG_MEMBERSHIP_UPDATE, wire.encode_membership_update(message)
-                )
-            else:
-                self._broadcast(wire.MSG_LB_UPDATE_BATCH, wire.encode_lb_update(message))
+    def _publish(self, messages) -> int:
+        """Broadcast the maintainer's `messages`, then send its list to
+        every later login."""
+        with self._state_lock:
+            for message in messages:
+                if isinstance(message, MembershipUpdate):
+                    for record in message.additions:
+                        self.round_server.learn_record(record.key)
+                    frame = (
+                        wire.MSG_MEMBERSHIP_UPDATE, wire.encode_membership_update(message)
+                    )
+                else:
+                    frame = wire.MSG_LB_UPDATE_BATCH, wire.encode_lb_update(message)
+                self._broadcast(*frame)
+            self._published = self.maintainer.plist
+        return len(messages)
 
     def trigger_refresh(self, now: float) -> int:
         """Run a ranking refresh and broadcast the resulting updates."""
-        with self._state_lock:
-            messages = self.maintainer.run_refresh(now)
-            self._publish(messages)
-        return len(messages)
+        return self._publish(self.maintainer.run_refresh(now))
 
     def trigger_ttl(self, now: float) -> int:
         """Requery due records, then flush any queued pool rotations."""
-        with self._state_lock:
-            messages = list(self.maintainer.run_ttl(now))
-            batch = self.maintainer.flush_lb_updates(now)
-            if batch is not None:
-                messages.append(batch)
-            self._publish(messages)
-        return len(messages)
+        messages = self.maintainer.run_ttl(now)
+        batch = self.maintainer.flush_lb_updates(now)
+        return self._publish(messages if batch is None else [*messages, batch])
 
     # -- vote rounds --------------------------------------------------------
 
@@ -414,11 +411,11 @@ class LluadServer:
         with self._round_lock:
             with self._state_lock:
                 sessions = dict(self._sessions)
-            online = sorted(
-                self.registry.shuffler_index[cid]
-                for cid, session in sessions.items()
-                if session.entry is not None and session.entry.shuffler
-            )
+                flagged = self.report_log.flagged(self.round_index)
+            if flagged:
+                log.warning("reports flag shufflers %s", sorted(flagged))
+            index = self.registry.shuffler_index
+            online = sorted(index[cid] for cid in sessions if cid in index)
             if self.shuffler_cap is not None:
                 online = list(
                     select_shufflers(
@@ -444,8 +441,8 @@ class LluadServer:
                 "client %s missed the submission deadline",
             )
             result = self.round_server.run_round(ctx, submissions)
+            self.maintainer.ingest_votes(result.tally.elements())
             with self._state_lock:
-                self.maintainer.ingest_votes(result.tally.elements())
                 senders = dict.fromkeys(result.acks, self.quota)
                 self._reports_open = (self.round_index, ctx.t_timestamp, senders)
                 self.round_index += 1

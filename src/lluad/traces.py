@@ -349,20 +349,13 @@ class SyntheticUniverse:
         """Definitions for the top n ranks, closed over CNAME targets."""
         chosen: dict[RecordKey, RecordDef] = {}
         for rank in range(min(n, self.size)):
-            kind = self.kind[rank]
-            if kind == "cname":
+            if self.kind[rank] == "cname":
                 target = self._cname_target[rank]
                 ckey = RecordKey(self.keys[rank].name, RecordType.CNAME)
                 chosen[ckey] = RecordDef(
                     ckey, RecordAnswer.cname(self.keys[target].name).data
                 )
                 self._add_plain_def(chosen, target, now)
-            elif kind == "lb":
-                key = self.keys[rank]
-                pool = self._pools[rank]
-                chosen.setdefault(
-                    key, RecordDef(key, self.active_answer(rank, now), pool)
-                )
             else:
                 self._add_plain_def(chosen, rank, now)
         return list(chosen.values())

@@ -57,6 +57,7 @@ from lluad.mixnet import (
 )
 from lluad.poplist import build_list, serialize
 from lluad.server import (
+    ERR_AUTH,
     TLS_HANDSHAKE_TIMEOUT,
     ClientRegistry,
     LluadServer,
@@ -296,6 +297,31 @@ def test_reconnect_catches_up_after_missed_updates(world_factory):
     assert client.plist.same_structure(world.maintainer.plist)
 
 
+@pytest.mark.parametrize(
+    "client_id, token",
+    [("cli1", "tok-cli1"), ("cli0", "wrong")],
+    ids=["another-client", "bad-token"],
+)
+def test_a_resync_must_carry_the_sessions_own_credentials(
+    world_factory, client_id, token
+):
+    world = world_factory(n_shufflers=2, n_plain=2, n_shuffle=1)
+    world.clients.pop("cli0").close()
+    with socket.create_connection(world.server.address, timeout=5.0) as sock:
+        stream = wire.FrameStream(sock)
+        stream.send(wire.MSG_LIST_REQUEST, wire.encode_list_request("cli0", "tok-cli0"))
+        assert stream.recv()[0] == wire.MSG_LIST_SNAPSHOT
+        stream.send(wire.MSG_LIST_REQUEST, wire.encode_list_request(client_id, token))
+        msg_type, body = stream.recv()
+        assert msg_type == wire.MSG_ERROR
+        assert wire.decode_error(body)[0] == ERR_AUTH
+        with pytest.raises(wire.ConnectionClosed):
+            stream.recv()
+    assert wait_until(lambda: "cli0" not in world.server._sessions)
+    assert "cli1" in world.server._sessions
+    assert world.clients["cli1"].connected
+
+
 def self_signed_tls(ip: str, directory) -> tuple[ssl.SSLContext, ssl.SSLContext]:
     """A server context with a fresh certificate for `ip` (its PEM files
     written to `directory`), and a client context that trusts only it."""
@@ -375,6 +401,84 @@ def test_a_silent_tls_peer_holds_up_no_other_connection(tmp_path):
         stopped = time.monotonic() - started
         silent.close()
     assert stopped < 2.0
+
+
+def test_a_held_state_lock_holds_up_no_tls_handshake(tmp_path):
+    tls = self_signed_tls("127.0.0.1", tmp_path)
+    world = World(n_shufflers=2, n_plain=1, n_shuffle=1, tls=tls)
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with world.server._state_lock:
+            held.set()
+            release.wait(10.0)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(5.0)
+        started = time.monotonic()
+        with socket.create_connection(world.server.address, timeout=2.0) as sock:
+            with tls[1].wrap_socket(sock, server_hostname="127.0.0.1"):
+                assert time.monotonic() - started < 2.0
+    finally:
+        release.set()
+        holder.join()
+        world.stop()
+
+
+# -- maintenance off the session lock ----------------------------------------------
+
+
+def stalled_ttl_pass(world: World) -> tuple[threading.Event, threading.Thread]:
+    """Change one record upstream, then start a TTL pass on another thread
+    whose upstream queries wait until the returned Event is set (10 s at
+    most).  Returns once the pass waits on its first query."""
+    world.table[world.list_keys[0]] = UpstreamAnswer(600, (b"\x0a\x09\x09\x09",))
+    asked, release = threading.Event(), threading.Event()
+    resolve = world.maintainer.upstream.resolve
+
+    def stalled(key: RecordKey) -> UpstreamAnswer:
+        asked.set()
+        release.wait(10.0)
+        return resolve(key)
+
+    world.maintainer.upstream = SimulatedUpstream(stalled)
+    ttl = threading.Thread(target=world.server.trigger_ttl, args=(5000.0,))
+    ttl.start()
+    assert asked.wait(5.0)
+    return release, ttl
+
+
+def test_a_stalled_ttl_pass_holds_up_no_login(world_factory):
+    world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
+    before = world.maintainer.generation
+    release, ttl = stalled_ttl_pass(world)
+    try:
+        world.clients.pop("cli0").close()
+        fresh = world.clients["cli0"] = world.make_client("cli0")
+        started = time.monotonic()
+        fresh.connect()
+        assert time.monotonic() - started < 2.0
+        assert fresh.generation == before
+    finally:
+        release.set()
+        ttl.join()
+    assert world.maintainer.generation > before
+    assert fresh.wait_for_generation(world.maintainer.generation)
+    assert serialize(fresh.plist) == serialize(world.maintainer.plist)
+
+
+def test_stop_returns_during_a_stalled_ttl_pass():
+    world = World(n_shufflers=2, n_plain=1, n_shuffle=1)
+    release, ttl = stalled_ttl_pass(world)
+    try:
+        started = time.monotonic()
+        world.stop()
+        assert time.monotonic() - started < 2.0
+    finally:
+        release.set()
+        ttl.join()
 
 
 # -- rounds over sockets -------------------------------------------------------
@@ -482,6 +586,31 @@ def test_server_keeps_at_most_quota_reports_per_sender_and_round(world_factory):
     # entries have left the one-round window
     kept = round_then_reports(701, 2, [first] + [second] * flood)
     assert kept == [second] * world.quota
+
+
+def test_shufflers_flagged_by_reports_are_logged(world_factory, caplog):
+    world = world_factory(n_shufflers=3, n_plain=1, n_shuffle=2, quota=2)
+    world.server.report_log = ReportLog(threshold=2)
+    reporter = world.clients["cli0"]
+
+    def flag_lines(t: int) -> list[str]:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lluad.server"):
+            assert world.server.run_vote_round(t) is not None
+        return [r.getMessage() for r in caplog.records if "flag" in r.getMessage()]
+
+    assert flag_lines(900) == []
+    assert reporter.wait_for_rounds(1)
+    for _ in range(2):
+        reporter._stream.send(
+            wire.MSG_MISBEHAVIOR_REPORT,
+            wire.encode_misbehavior_report(MisbehaviorReport(900, (1, 2))),
+        )
+    # the session answers a resync only after filing every frame before it
+    before = reporter.plist
+    reporter.resync()
+    assert wait_until(lambda: reporter.plist is not before)
+    assert flag_lines(901) == ["reports flag shufflers [1, 2]"]
 
 
 def test_round_aborts_without_enough_shufflers(world_factory):
