@@ -288,7 +288,7 @@ class LluadServer:
 
     def _login(self, session: _Session, body: bytes) -> bool:
         """Authenticate a LIST_REQUEST (a first frame or a resync), then
-        (re)register the session and send it the published list.  False,
+        send the session the published list and (re)register it.  False,
         after ERR_AUTH, ends the session."""
         try:
             entry = self.registry.authenticate(*wire.decode_list_request(body))
