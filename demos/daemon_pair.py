@@ -79,7 +79,7 @@ def main() -> None:
             "client", "--id", "c0", "--token", "token0",
             "--server", f"{match.group(1)}:{match.group(2)}",
             "--server-pub", server_pub, "--registry", str(registry),
-            "--listen", "127.0.0.1:0",
+            "--shuffler-key", client_keys[0][0], "--listen", "127.0.0.1:0",
         )
         stub = banner(client, r"resolving on ([\d.]+):(\d+)")
 

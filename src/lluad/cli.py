@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 from random import Random
 
+from . import wire
 from .client import (
     DEFAULT_DNS_PORT,
     DohFallback,
@@ -197,13 +198,14 @@ def _cmd_client(args) -> int:
     elif args.fallback is not None:
         raise UsageError(f"no live transport for fallback mode {args.fallback!r}")
 
+    client_id = _require(args.id, "--id")
     client = LluadClient(
-        _require(args.id, "--id"),
+        client_id,
         _require(args.token, "--token"),
         server_addr,
         shuffler_pubs=registry.shuffler_pubs(),
         server_pub=server_pub,
-        shuffler_index=args.shuffler_index,
+        shuffler_index=registry.shuffler_index.get(client_id),
         shuffler_priv=None if args.shuffler_key is None else int(args.shuffler_key, 16),
         fallback=fallback,
         **_given(quota=args.quota, voting_rate=args.voting_rate, min_ttl=args.min_ttl),
@@ -219,6 +221,11 @@ def _cmd_client(args) -> int:
             # short sleeps: a SIGINT that lands on a listener thread is
             # only acted on once the main thread's sleep ends
             time.sleep(1.0)
+            if not client.connected:
+                try:
+                    client.reconnect()
+                except (OSError, wire.FrameError, wire.ConnectionClosed):
+                    pass  # the server is away: try again on the next tick
     finally:
         client.close()
     return 0
@@ -519,7 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback", choices=["plain", "doh"])
     p.add_argument("--fallback-endpoint", help="plain-udp resolver host:port")
     p.add_argument("--fallback-url", help="doh endpoint url")
-    p.add_argument("--shuffler-index", type=int)
     p.add_argument("--shuffler-key", help="shuffler private scalar, hex")
     p.add_argument("--quota", type=int)
     p.add_argument("--voting-rate", type=float)

@@ -22,6 +22,7 @@ from random import Random
 from typing import Callable, Mapping
 
 from . import wire
+from .curve import encode_element, mult_base
 from .dnsmsg import (
     MalformedMessage,
     RCODE_NXDOMAIN,
@@ -31,6 +32,7 @@ from .dnsmsg import (
     UnsupportedType,
     build_response,
     parse_query,
+    udp_exchange,
 )
 from .maintenance import apply_update
 from .mixnet import (
@@ -115,17 +117,10 @@ class PlainUdpFallback:
         self.timeout = timeout
 
     def forward(self, query: bytes) -> bytes:
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            sock.settimeout(self.timeout)
-            try:
-                sock.sendto(query, self.endpoint)
-                for _ in range(4):
-                    data, _ = sock.recvfrom(4096)
-                    if data[:2] == query[:2]:
-                        return data
-            except OSError as exc:
-                raise FallbackError(f"upstream {self.endpoint}: {exc}") from exc
-        raise FallbackError("no matching response")
+        try:
+            return udp_exchange(query, self.endpoint, self.timeout)
+        except OSError as exc:
+            raise FallbackError(f"upstream {self.endpoint}: {exc}") from exc
 
 
 class DohFallback:
@@ -207,7 +202,7 @@ class LluadClient:
         ssl_context: ssl.SSLContext | None = None,
     ):
         if (shuffler_index is None) != (shuffler_priv is None):
-            raise ValueError("shuffler role needs both an index and a key")
+            raise ValueError("a shuffler needs both its registry index and its key")
         self.client_id = client_id
         self._token = token
         self._server_addr = server_addr
@@ -218,11 +213,12 @@ class LluadClient:
         self.fallback = fallback
         self._rng = rng or Random()
         self._ssl_context = ssl_context
-        self.node = (
-            ShufflerNode(shuffler_index, shuffler_priv, rng=self._rng)
-            if shuffler_index is not None
-            else None
-        )
+        self.node = None
+        if shuffler_index is not None:
+            pub = encode_element(mult_base(shuffler_priv))
+            if shuffler_pubs.get(shuffler_index) != pub:
+                raise ValueError(f"wrong key for shuffler {shuffler_index}")
+            self.node = ShufflerNode(shuffler_index, shuffler_priv, rng=self._rng)
         self.buffer = VoteBuffer(voting_rate, self._rng)
         self._buffer_lock = threading.Lock()
         self._list_lock = threading.Lock()

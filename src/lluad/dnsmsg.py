@@ -159,9 +159,9 @@ class RecordKey(namedtuple("RecordKey", "name rtype")):
 
     __slots__ = ()
 
-    def sort_key(self) -> tuple[bytes, int]:
-        # canonical order: dotted lowercase name bytes, then type code
-        return (self.name.dotted.encode("ascii"), int(self.rtype))
+    def sort_key(self) -> bytes:
+        # canonical order: dotted name, a 0 byte (no name byte is 0), type code
+        return self.name.dotted.encode("ascii") + b"\0" + self.rtype.to_bytes(2, "big")
 
     # all four orders by sort_key, not by the tuple base's order
     __lt__ = _by_sort_key(operator.lt)
@@ -284,6 +284,21 @@ def build_query(txid: int, key: RecordKey) -> bytes:
     out += key.name.wire
     out += struct.pack("!HH", int(key.rtype), CLASS_IN)
     return bytes(out)
+
+
+def udp_exchange(query: bytes, endpoint: tuple[str, int], timeout: float) -> bytes:
+    """Send `query` to `endpoint` and return the first of up to four
+    datagrams from it (the socket is connected) that carries its
+    transaction id.  OSError when none does, or on an I/O error or timeout."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.settimeout(timeout)
+        sock.connect(endpoint)
+        sock.send(query)
+        for _ in range(4):
+            data = sock.recv(4096)
+            if data[:2] == query[:2]:
+                return data
+    raise OSError("no matching response")
 
 
 def build_response(

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import socket
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
@@ -43,6 +42,7 @@ from .dnsmsg import (
     RecordType,
     build_query,
     parse_response,
+    udp_exchange,
 )
 from .poplist import (
     CNAME_CHAIN_LIMIT,
@@ -127,18 +127,12 @@ def update_score(
     return PopularityScore(prev.key, weighted, round_index)
 
 
-def _order_bytes(key: RecordKey) -> bytes:
-    """Bytes that sort like `key.sort_key()`: no name byte is 0, so the
-    separator ends a name before any longer name it prefixes."""
-    return key.name.dotted.encode("ascii") + b"\0" + int(key.rtype).to_bytes(2, "big")
-
-
 class ScoreBoard:
     """All known scores, capped by shedding the lowest effective score
     so forgotten records eventually drop.
 
-    Each key maps to (weighted, last round, order bytes); the order bytes
-    are built once, when the key is first scored, and leave with it."""
+    Each key maps to (weighted, last round, `key.sort_key()`); the order
+    bytes are built once, when the key is first scored, and leave with it."""
 
     def __init__(self, cfg: MaintenanceConfig):
         self._cap = SCORE_CAP_FACTOR * cfg.n_popular
@@ -155,7 +149,7 @@ class ScoreBoard:
         for key, occurrences in tallies.items():
             prev = scores.get(key)
             if prev is None:
-                prev = (0.0, round_index - 1, _order_bytes(key))
+                prev = (0.0, round_index - 1, key.sort_key())
             weighted = _fold(prev[0], prev[1], occurrences, round_index)
             scores[key] = (weighted, round_index, prev[2])
         excess = len(scores) - self._cap
@@ -723,20 +717,10 @@ class PlainUdpUpstream:
         txid = self.rng.randrange(1 << 16)
         query = build_query(txid, key)
         for _ in range(self.retries):
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             try:
-                sock.settimeout(self.timeout)
-                sock.sendto(query, self.endpoint)
-                data, _ = sock.recvfrom(4096)
-            except OSError:
-                continue
-            finally:
-                sock.close()
-            try:
-                parsed = parse_response(data)
-                if parsed.txid == txid:
-                    return self._interpret(key, parsed)
-            except ValueError:  # malformed, unsupported or ill-sized answers
+                data = udp_exchange(query, self.endpoint, self.timeout)
+                return self._interpret(key, parse_response(data))
+            except (OSError, ValueError):  # no reply; malformed or ill-sized answers
                 continue
         raise UpstreamFailure(f"no usable response for {key}")
 

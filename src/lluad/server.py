@@ -29,7 +29,6 @@ from .mixnet import (
     RoundContext,
     RoundResult,
     RoundServer,
-    availability_bits,
     select_shufflers,
 )
 
@@ -415,17 +414,14 @@ class LluadServer:
             if flagged:
                 log.warning("reports flag shufflers %s", sorted(flagged))
             index = self.registry.shuffler_index
-            online = sorted(index[cid] for cid in sessions if cid in index)
-            if self.shuffler_cap is not None:
-                online = list(
-                    select_shufflers(
-                        t_timestamp, self.registry.digest, online, self.shuffler_cap
-                    )
-                )
-            total = len(self.registry.shuffler_ids)
-            ctx = RoundContext(
-                t_timestamp, availability_bits(online, max(total, 1)), self.n_shuffle
+            online = select_shufflers(
+                t_timestamp,
+                self.registry.digest,
+                (index[cid] for cid in sessions if cid in index),
+                self.shuffler_cap,
             )
+            total = max(len(self.registry.shuffler_ids), 1)
+            ctx = RoundContext.for_online(t_timestamp, online, total, self.n_shuffle)
             if not ctx.can_run:
                 self._broadcast(
                     wire.MSG_ERROR,

@@ -13,6 +13,7 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,6 +120,7 @@ def test_config_file_feeds_defaults(tmp_path, capsys):
         ("server", "--out", "x"),
         ("client", "--seed", "1"),
         ("client", "--out", "x"),
+        ("client", "--shuffler-index", "0"),
         ("keygen", "--config", "x"),
         ("sim", "exposure", "--seed", "1"),
         ("list", "inspect", "snap.bin", "--seed", "1"),
@@ -425,3 +427,70 @@ def test_daemons_answer_dns(tmp_path):
             if proc is not None:
                 assert proc.wait(timeout=15) == 130
                 proc.stdout.close()
+
+
+def stub_query(address, key, txid):
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.settimeout(10)
+    try:
+        sock.sendto(build_query(txid, key), address)
+        return parse_response(sock.recvfrom(4096)[0])
+    finally:
+        sock.close()
+
+
+def test_daemons_client_rejoins_a_restarted_server(tmp_path):
+    server_priv, server_pub = keygen_pair(100)
+    pubs = [keygen_pair(i) for i in range(2)]
+    registry = tmp_path / "registry.txt"
+    registry.write_text(
+        "".join(f"c{i} tok{i} {pub} {i}\n" for i, (_, pub) in enumerate(pubs))
+    )
+
+    def start_server(n_popular, port):
+        proc = cli(
+            "server", "--registry", str(registry), "--key", server_priv,
+            "--universe", "200", "--prepopulate", "--n-popular", str(n_popular),
+            "--port", str(port),
+        )
+        procs.append(proc)
+        match = re.search(r"listening on [\d.]+:(\d+)", readline_with_timeout(proc))
+        assert match
+        return proc, int(match.group(1))
+
+    procs = []
+    try:
+        first, port = start_server(100, 0)
+        client = cli(
+            "client", "--id", "c0", "--token", "tok0",
+            "--server", f"127.0.0.1:{port}",
+            "--server-pub", server_pub, "--registry", str(registry),
+            "--listen", "127.0.0.1:0",
+        )
+        procs.append(client)
+        stub = re.search(r"resolving on ([\d.]+):(\d+)", readline_with_timeout(client))
+        assert stub
+        stub = (stub.group(1), int(stub.group(2)))
+
+        # with no fallback, a name the 100-record list lacks is a SERVFAIL
+        universe = SyntheticUniverse(
+            UniverseConfig(200, seed=0, lb_fraction=0.02, cname_fraction=0.05)
+        )
+        missing = next(
+            key for key in universe.keys[149:] if stub_query(stub, key, 1).rcode == 2
+        )
+
+        first.send_signal(signal.SIGINT)
+        assert first.wait(timeout=15) == 130
+        start_server(200, port)
+
+        deadline = time.monotonic() + 10.0
+        while not stub_query(stub, missing, 2).answers:
+            assert time.monotonic() < deadline, "the client did not rejoin"
+            time.sleep(0.2)
+        assert client.poll() is None
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=15)
+            proc.stdout.close()

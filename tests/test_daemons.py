@@ -506,6 +506,23 @@ def test_vote_round_over_loopback(world_factory):
     assert messages == 0  # same records stay, nothing to broadcast
 
 
+def test_a_shuffler_key_must_be_the_registered_one():
+    """A client started with another shuffler's private key would garble
+    every packet routed to it; it is refused when built."""
+    rng = Random(41)
+    shufflers = [keypair(rng) for _ in range(2)]
+    with pytest.raises(ValueError, match="wrong key for shuffler 0"):
+        LluadClient(
+            "shuf0",
+            "tok-shuf0",
+            ("127.0.0.1", 9),
+            shuffler_pubs={j: pub for j, (_, pub) in enumerate(shufflers)},
+            server_pub=keypair(rng)[1],
+            shuffler_index=0,
+            shuffler_priv=shufflers[1][0],
+        )
+
+
 def test_own_acks_are_verified_while_a_relay_table_is_held():
     """The client tells its own acks from relay work by frame type alone,
     not by whether it still holds a flow table."""

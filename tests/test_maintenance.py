@@ -504,19 +504,18 @@ def test_maintainer_output_is_pinned():
 
 
 @pytest.fixture
-def one_shot_resolver():
-    """A resolver on 127.0.0.1 that answers the first query with the
-    bytes `reply(query)` returns, then stays silent."""
+def scripted_resolver():
+    """A resolver on 127.0.0.1 that hands the first query and its sender
+    to `script(sock, query, peer)`, which sends what it likes."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
     sock.settimeout(10.0)
     threads = []
 
-    def start(reply):
+    def start(script):
         def serve():
             try:
-                query, peer = sock.recvfrom(4096)
-                sock.sendto(reply(query), peer)
+                script(sock, *sock.recvfrom(4096))
             except OSError:
                 pass
 
@@ -530,6 +529,15 @@ def one_shot_resolver():
     for thread in threads:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def one_shot_resolver(scripted_resolver):
+    """A resolver that answers the first query with the bytes
+    `reply(query)` returns, then stays silent."""
+    return lambda reply: scripted_resolver(
+        lambda sock, query, peer: sock.sendto(reply(query), peer)
+    )
 
 
 def _reply(query: bytes, rtype: RecordType, rdata: bytes) -> bytes:
@@ -547,6 +555,33 @@ def test_upstream_cname_to_unsupported_label_is_a_failed_try(one_shot_resolver):
     upstream = PlainUdpUpstream(endpoint, timeout=0.3, retries=2)
     with pytest.raises(UpstreamFailure):
         upstream.resolve(key("www.example"))
+
+
+def test_upstream_skips_a_reply_to_another_query(scripted_resolver):
+    """A datagram carrying another transaction id is skipped; the reply
+    after it is read within the same try."""
+
+    def script(sock, query, peer):
+        stray = bytes([query[0] ^ 0xFF]) + query[1:]
+        sock.sendto(_reply(stray, RecordType.A, b"\xc0\x00\x02\x09"), peer)
+        sock.sendto(_reply(query, RecordType.A, b"\xc0\x00\x02\x01"), peer)
+
+    upstream = PlainUdpUpstream(scripted_resolver(script), timeout=0.3, retries=1)
+    assert upstream.resolve(key("www.example")).answers == (b"\xc0\x00\x02\x01",)
+
+
+def test_upstream_ignores_a_reply_from_another_address(scripted_resolver):
+    """A datagram with the query's transaction id, but from another
+    address than the resolver's, never answers the query."""
+    spoofer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+
+    def script(sock, query, peer):
+        spoofer.sendto(_reply(query, RecordType.A, b"\xc0\x00\x02\x09"), peer)
+        sock.sendto(_reply(query, RecordType.A, b"\xc0\x00\x02\x01"), peer)
+
+    upstream = PlainUdpUpstream(scripted_resolver(script), timeout=0.3, retries=1)
+    with spoofer:
+        assert upstream.resolve(key("www.example")).answers == (b"\xc0\x00\x02\x01",)
 
 
 def test_upstream_short_address_is_a_failed_try(one_shot_resolver):
