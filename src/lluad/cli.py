@@ -159,7 +159,7 @@ def _cmd_server(args) -> int:
     if args.prepopulate:
         if universe is None:
             raise UsageError("--prepopulate only works with --universe")
-        maintainer.ingest_votes(universe.keys)
+        maintainer.ingest_votes(universe.keys[: maintenance.n_popular])
         maintainer.run_refresh(time.time())
 
     server = LluadServer(

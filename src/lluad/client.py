@@ -4,7 +4,10 @@ vote buffering, round participation, and shuffler duties.
 One reader thread owns all inbound frames; round participation happens
 inline there because the protocol is strictly request-driven from the
 server side.  The UDP listener runs its own thread and only touches the
-list and the vote buffer, both behind locks.
+list and the vote buffer.  One lock guards the buffer and each swap of
+the list, an immutable value read without it.  Only the reader thread
+swaps lists, so it computes each update with no lock held and then
+installs it: a query never waits for an update to be computed.
 """
 
 from __future__ import annotations
@@ -220,15 +223,14 @@ class LluadClient:
                 raise ValueError(f"wrong key for shuffler {shuffler_index}")
             self.node = ShufflerNode(shuffler_index, shuffler_priv, rng=self._rng)
         self.buffer = VoteBuffer(voting_rate, self._rng)
-        self._buffer_lock = threading.Lock()
-        self._list_lock = threading.Lock()
-        self._plist: PopularityList | None = None
+        self._lock = threading.Lock()  # the vote buffer, and each list swap
+        self._plist: PopularityList | None = None  # replaced only by _install
         self._stream: wire.FrameStream | None = None
         self._reader: threading.Thread | None = None
         self._udp_sock: socket.socket | None = None
         self._udp_thread: threading.Thread | None = None
         self._stopping = False  # the session is ending; the stub runs until close()
-        self._cv = threading.Condition()
+        self._cv = threading.Condition(self._lock)
         # round state, owned by the reader thread
         self._round_ctx: RoundContext | None = None
         self._sent_votes: list[PlannedVote] = []
@@ -265,8 +267,7 @@ class LluadClient:
         except (AuthRejected, wire.FrameError, wire.ConnectionClosed, OSError):
             self._stream.close()
             raise
-        with self._list_lock:
-            self._plist = plist
+        self._install(plist)
         self._stopping = False
         self._reader = threading.Thread(target=self._reader_loop, daemon=True)
         self._reader.start()
@@ -311,13 +312,12 @@ class LluadClient:
 
     @property
     def generation(self) -> int:
-        with self._list_lock:
-            return -1 if self._plist is None else self._plist.generation
+        plist = self._plist
+        return -1 if plist is None else plist.generation
 
     @property
     def plist(self) -> PopularityList | None:
-        with self._list_lock:
-            return self._plist
+        return self._plist
 
     def wait_for_generation(self, generation: int, timeout: float = 10.0) -> bool:
         return self._wait(lambda: self.generation >= generation, timeout)
@@ -358,11 +358,7 @@ class LluadClient:
 
     def _dispatch(self, msg_type: int, body: bytes) -> None:
         if msg_type == wire.MSG_LIST_SNAPSHOT:
-            plist = wire.decode_list_snapshot(body)
-            with self._list_lock:
-                self._plist = plist
-            with self._cv:
-                self._cv.notify_all()
+            self._install(wire.decode_list_snapshot(body))
         elif msg_type == wire.MSG_MEMBERSHIP_UPDATE:
             self._apply(wire.decode_membership_update(body))
         elif msg_type == wire.MSG_LB_UPDATE_BATCH:
@@ -386,16 +382,19 @@ class LluadClient:
 
     def _apply(self, message) -> None:
         try:
-            with self._list_lock:
-                if self._plist is None:
-                    raise UnknownRecord("no list yet")
-                self._plist = apply_update(self._plist, message)
+            plist = apply_update(self._plist, message)
         except (UnknownRecord, IndexOutOfRange, InvariantViolation, FormatError):
             # this replica diverged from the broadcast stream; a fresh
             # snapshot is the recovery path
             log.warning("client %s: update did not apply, resyncing", self.client_id)
             self.resync()
+        else:
+            self._install(plist)
+
+    def _install(self, plist: PopularityList) -> None:
+        """Make `plist` the list the stub answers from, and wake waiters."""
         with self._cv:
+            self._plist = plist
             self._cv.notify_all()
 
     # -- round participation ---------------------------------------------------
@@ -409,7 +408,7 @@ class LluadClient:
         if any(j not in self.shuffler_pubs for j in ctx.online_indexes):
             log.warning("client %s: unknown shuffler online, skipping", self.client_id)
         elif ctx.can_run:
-            with self._buffer_lock:
+            with self._lock:
                 vote_keys = self.buffer.drain()
             priority = self._pending_fragments[: self.quota]
             del self._pending_fragments[: len(priority)]
@@ -485,9 +484,9 @@ class LluadClient:
             return self._forward(query)
         except MalformedMessage:
             return None
-        with self._list_lock:
-            hit = lookup(self._plist, key) if self._plist is not None else None
-        with self._buffer_lock:
+        plist = self._plist
+        hit = lookup(plist, key) if plist is not None else None
+        with self._lock:
             self.buffer.offer(key)
         if hit is not None:
             self.hits += 1

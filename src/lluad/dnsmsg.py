@@ -9,15 +9,16 @@ Names are stored least-significant-label first ("com", "example", "www"),
 which matches how the popularity tree is walked; text and wire forms use
 the conventional order.
 
-`DomainName` and `RecordKey` are immutable tuple subclasses (a name is the
-1-tuple of its label tuple, a key the pair of its name and type), because
-every list path looks records up in dicts keyed by them: hashing,
-equality and field access run in C.  Their hashes equal those of the
-frozen dataclasses they replace, `hash((labels,))` and
-`hash((name, rtype))`, so set orders, rng draws and every output stay
-the same under any PYTHONHASHSEED.  Being tuples, they compare equal to
-the plain tuple of their fields: `RecordKey(n, t) == (n, t)`.  Keys order
-by `sort_key` under all four comparison operators; names have no order.
+`DomainName`, `RecordKey` and `RecordAnswer` are immutable tuple
+subclasses (a name holds its label tuple, a key its name and type, an
+answer its type and rdata), because every list path builds, hashes or
+compares them, and tuples do that in C.  Their hashes equal those of
+the frozen dataclasses they replace, `hash((labels,))`,
+`hash((name, rtype))` and `hash((rtype, data))`, so set orders, rng
+draws and every output stay the same under any PYTHONHASHSEED.  Being
+tuples, they compare equal to the plain tuple of their fields:
+`RecordKey(n, t) == (n, t)`.  Keys order by `sort_key` under all four
+comparison operators; names have no order.
 
 A name's rules live in one bytes-level check, `_is_name`, which
 `DomainName` applies to its dot-joined labels.  A query name is
@@ -170,20 +171,20 @@ class RecordKey(namedtuple("RecordKey", "name rtype")):
     __ge__ = _by_sort_key(operator.ge)
 
 
-@dataclass(frozen=True)
-class RecordAnswer:
+class RecordAnswer(namedtuple("RecordAnswer", "rtype data")):
     """One answer: type plus raw rdata (CNAME rdata is an uncompressed name)."""
 
-    rtype: RecordType
-    data: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rtype == RecordType.A and len(self.data) != 4:
+    def __new__(cls, rtype: RecordType, data: bytes) -> "RecordAnswer":
+        if rtype == RecordType.A and len(data) != 4:
             raise ValueError("A rdata must be 4 bytes")
-        if self.rtype == RecordType.AAAA and len(self.data) != 16:
+        if rtype == RecordType.AAAA and len(data) != 16:
             raise ValueError("AAAA rdata must be 16 bytes")
-        if self.rtype == RecordType.CNAME:
-            self.cname_target  # validates
+        answer = tuple.__new__(cls, (rtype, data))
+        if rtype == RecordType.CNAME:
+            answer.cname_target  # validates
+        return answer
 
     @classmethod
     def a(cls, ip: str) -> "RecordAnswer":

@@ -718,8 +718,9 @@ class PlainUdpUpstream:
         query = build_query(txid, key)
         for _ in range(self.retries):
             try:
-                data = udp_exchange(query, self.endpoint, self.timeout)
-                return self._interpret(key, parse_response(data))
+                parsed = parse_response(udp_exchange(query, self.endpoint, self.timeout))
+                if parsed.question == key:  # a reply to another question is no reply
+                    return self._interpret(key, parsed)
             except (OSError, ValueError):  # no reply; malformed or ill-sized answers
                 continue
         raise UpstreamFailure(f"no usable response for {key}")

@@ -703,7 +703,6 @@ class RoundServer:
                 dummy_count += 1
             elif isinstance(decoded, DirectVote):
                 tally[decoded.key] += 1
-                self.digest_table.setdefault(record_digest(decoded.key), decoded.key)
             elif isinstance(decoded, HashedVote):
                 known = self.digest_table.get(decoded.digest)
                 if known is not None:

@@ -247,18 +247,18 @@ def lookup(plist: PopularityList, key: RecordKey) -> Hit | None:
     found = records.get(key)
     rtype = key.rtype
     if found is not None:
-        return Hit((_answer(rtype, found.answer),))
+        return Hit((tuple.__new__(RecordAnswer, (rtype, found.answer)),))
     answers: list[RecordAnswer] = []
     name = key.name
     for _ in range(CNAME_CHAIN_LIMIT - 1):  # a chain holds at most the limit
         via = records.get(RecordKey(name, RecordType.CNAME))
         if via is None:
             return None
-        answers.append(_answer(RecordType.CNAME, via.answer))
+        answers.append(tuple.__new__(RecordAnswer, (RecordType.CNAME, via.answer)))
         name = via.cname_target
         found = records.get(RecordKey(name, rtype))
         if found is not None:
-            answers.append(_answer(rtype, found.answer))
+            answers.append(tuple.__new__(RecordAnswer, (rtype, found.answer)))
             return Hit(tuple(answers))
     return None
 
@@ -277,19 +277,6 @@ def _rotated(d: RecordDef, answer: bytes) -> RecordDef:
     when `d` was built, so the copy skips `__post_init__`."""
     out = object.__new__(RecordDef)
     out.__dict__.update(key=d.key, answer=answer, pool=d.pool)
-    return out
-
-
-def _answer(rtype: RecordType, data: bytes) -> RecordAnswer:
-    """A `RecordAnswer` of table data, built without its `__post_init__`.
-    Every answer a table holds was checked when its record was built
-    (`RecordDef.__post_init__` checks the active answer and every pool
-    entry, and `_rotated` only activates another entry of a checked pool),
-    so `lookup` does not check it again on every hit."""
-    out = object.__new__(RecordAnswer)
-    fields = out.__dict__
-    fields["rtype"] = rtype
-    fields["data"] = data
     return out
 
 

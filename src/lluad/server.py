@@ -143,11 +143,6 @@ class _Session:
         self.entry: RegistryEntry | None = None
         self.replies: queue.Queue = queue.Queue()
         self.asked = self.received = self.taken = 0
-        self._write_lock = threading.Lock()
-
-    def send(self, msg_type: int, body: bytes) -> None:
-        with self._write_lock:
-            self.stream.send(msg_type, body)
 
 
 class LluadServer:
@@ -298,7 +293,7 @@ class LluadServer:
             return False
         with self._state_lock:
             # sent first: a session dropped or displaced meanwhile fails here
-            session.send(
+            session.stream.send(
                 wire.MSG_LIST_SNAPSHOT, wire.encode_list_snapshot(self._published)
             )
             session.entry = entry
@@ -311,7 +306,7 @@ class LluadServer:
     def _send(self, session: _Session, msg_type: int, body: bytes) -> bool:
         """Send one frame; a session that cannot take it is dropped."""
         try:
-            session.send(msg_type, body)
+            session.stream.send(msg_type, body)
         except OSError:
             self._drop_session(session)
             return False

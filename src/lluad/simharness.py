@@ -97,8 +97,10 @@ def run_hit_ratio(
     hour, so hour h+1 queries see their effect, matching the daemons.
     During the fast-start window every query is offered as a vote;
     afterwards each query is offered with probability `voting_rate`.
-    Per client and hour, offers are deduplicated and capped at
-    `max_votes_per_round`, mirroring the client's buffer and quota.
+    Per client and hour, offers are deduplicated like the client's
+    buffer, and each client votes for its first `max_votes_per_round`
+    distinct sampled keys.  The live client instead submits a uniform
+    sample of `quota` of its buffered keys (`select_vote_payloads`).
     """
     if not len(trace):
         raise ValueError("empty trace")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 import zlib
 from typing import Callable, Iterable, Sequence
 
@@ -75,16 +76,19 @@ def encode_frame(msg_type: int, body: bytes) -> bytes:
 
 class FrameStream:
     """Blocking framed messages over a connected stream socket.  A socket
-    timeout fails a send that makes no progress; reads wait through it."""
+    timeout fails a send that makes no progress; reads wait through it.
+    Sends from several threads go out one whole frame at a time."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._send_lock = threading.Lock()  # close() skips it: it wakes a stalled send
 
     def send(self, msg_type: int, body: bytes = b"") -> None:
         # in chunks: a TLS write has one deadline for all it is given
         frame = memoryview(encode_frame(msg_type, body))
-        while frame:
-            frame = frame[self._sock.send(frame[:16384]) :]
+        with self._send_lock:
+            while frame:
+                frame = frame[self._sock.send(frame[:16384]) :]
 
     def _read_exact(self, n: int) -> bytes:
         chunks = []

@@ -479,6 +479,9 @@ def test_daemons_client_rejoins_a_restarted_server(tmp_path):
         missing = next(
             key for key in universe.keys[149:] if stub_query(stub, key, 1).rcode == 2
         )
+        # the prepopulated list is the universe's popular head
+        for txid, key in enumerate(universe.keys[:20]):
+            assert stub_query(stub, key, txid).answers, key
 
         first.send_signal(signal.SIGINT)
         assert first.wait(timeout=15) == 130

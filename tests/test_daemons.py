@@ -2,6 +2,7 @@
 
 import datetime
 import gc
+import http.server
 import ipaddress
 import logging
 import socket
@@ -19,11 +20,14 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import NameOID
 
+from lluad import client as client_module
 from lluad import wire
 from lluad.cli import main as cli_main
 from lluad.client import (
     AuthRejected,
+    DohFallback,
     LluadClient,
+    PlainUdpFallback,
     SimulatedFallback,
     VoteBuffer,
 )
@@ -34,6 +38,8 @@ from lluad.dnsmsg import (
     RecordKey,
     RecordType,
     build_query,
+    build_response,
+    parse_query,
     parse_response,
 )
 from lluad.maintenance import (
@@ -58,6 +64,7 @@ from lluad.mixnet import (
 from lluad.poplist import build_list, serialize
 from lluad.server import (
     ERR_AUTH,
+    ERR_PROTOCOL,
     TLS_HANDSHAKE_TIMEOUT,
     ClientRegistry,
     LluadServer,
@@ -262,6 +269,18 @@ def test_unauthenticated_votes_refused(world_factory):
     stream.close()
 
 
+def test_an_unexpected_message_type_ends_the_session(world_factory, caplog):
+    world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
+    client = world.clients["cli0"]
+    with caplog.at_level(logging.WARNING, logger="lluad.server"):
+        client._stream.send(wire.MSG_SENDER_ACKS, wire.encode_packet_batch([]))
+        assert wait_until(lambda: not client.connected)
+    assert [code for code, _ in client.errors] == [ERR_PROTOCOL]
+    assert "protocol violation" in caplog.text
+    assert wait_until(lambda: "cli0" not in world.server._sessions)
+    assert world.clients["shuf0"].connected
+
+
 def test_snapshot_arrives_on_connect(world_factory):
     world = world_factory()
     for client in world.clients.values():
@@ -295,6 +314,75 @@ def test_reconnect_catches_up_after_missed_updates(world_factory):
     client.reconnect()
     assert client.generation == world.maintainer.generation
     assert client.plist.same_structure(world.maintainer.plist)
+
+
+def test_a_query_never_waits_for_an_update_to_be_computed(world_factory, monkeypatch):
+    world = world_factory(n_shufflers=0, n_plain=1)
+    client = world.clients["cli0"]
+    entered, release = threading.Event(), threading.Event()
+    apply_update = client_module.apply_update
+
+    def held(plist, message):
+        entered.set()
+        release.wait(10.0)
+        return apply_update(plist, message)
+
+    monkeypatch.setattr(client_module, "apply_update", held)
+    world.table[world.list_keys[0]] = UpstreamAnswer(600, (b"\x0a\x09\x09\x09",))
+    listed = world.list_keys[1]
+    try:
+        assert world.server.trigger_ttl(1600.0) == 1
+        assert entered.wait(5.0)
+        started = time.monotonic()
+        response = parse_response(client.resolve(build_query(31, listed)))
+        assert time.monotonic() - started < 1.0
+        assert response.answers[0].data == world.table[listed].answers[0]
+    finally:
+        release.set()
+    assert client.wait_for_generation(world.maintainer.generation)
+    assert serialize(client.plist) == serialize(world.maintainer.plist)
+
+
+def test_pool_rotations_reach_every_client(world_factory, monkeypatch):
+    world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
+    sent = []
+    broadcast = world.server._broadcast
+
+    def counted(msg_type, body):
+        sent.append(msg_type)
+        broadcast(msg_type, body)
+
+    monkeypatch.setattr(world.server, "_broadcast", counted)
+    key = world.list_keys[0]
+    ips = [bytes([10, 0, 0, i]) for i in range(1, 4)]
+    # three answer sets within the change window make it load-balanced;
+    # after that the rng picks the active answer on each requery
+    for step in range(40):
+        world.table[key] = UpstreamAnswer(60, (ips[step],) if step < 3 else tuple(ips))
+        world.server.trigger_ttl(1600.0 + 60.0 * step)
+        if wire.MSG_LB_UPDATE_BATCH in sent:
+            break
+    assert wire.MSG_LB_UPDATE_BATCH in sent
+    assert world.maintainer.plist.lb_entry_order == (key,)
+    for client in world.clients.values():
+        assert client.wait_for_generation(world.maintainer.generation)
+        assert serialize(client.plist) == serialize(world.maintainer.plist)
+
+
+def test_a_diverged_client_resyncs_and_converges(world_factory, caplog):
+    world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
+    client = world.clients["cli0"]
+    gone = world.list_keys[1]
+    kept = [d for d in client.plist.records.values() if d.key != gone]
+    client._install(build_list(kept, client.generation))
+    world.table[gone] = UpstreamAnswer(600, ())  # the record leaves the list
+    with caplog.at_level(logging.WARNING, logger="lluad.client"):
+        assert world.server.trigger_ttl(1600.0) == 1
+        for other in world.clients.values():
+            assert other.wait_for_generation(world.maintainer.generation)
+            assert serialize(other.plist) == serialize(world.maintainer.plist)
+    assert "cli0: update did not apply, resyncing" in caplog.text
+    assert client.connected
 
 
 @pytest.mark.parametrize(
@@ -773,7 +861,7 @@ def test_hash_request_then_fragments_teach_the_server(world_factory):
     long_key = akey("a-rather-long-service-name.subdomain.partition.example.com")
     digest = record_digest(long_key)
     voter = world.clients["cli0"]
-    with voter._buffer_lock:
+    with voter._lock:
         voter.buffer.offer(long_key)
 
     first = world.server.run_vote_round(500)
@@ -853,6 +941,86 @@ def test_udp_listener_answers_queries(world_factory):
     assert response.answers[0].data == world.table[key].answers[0]
 
 
+def fallback_client(fallback) -> LluadClient:
+    """A client with no list yet: every query goes to `fallback`."""
+    return LluadClient(
+        "cli0", "tok", ("127.0.0.1", 9), shuffler_pubs={}, server_pub=bytes(32),
+        fallback=fallback,
+    )
+
+
+FALLBACK_ANSWER = RecordAnswer(RecordType.A, b"\xc0\x00\x02\x2c")
+
+
+def answer_query(query: bytes) -> bytes:
+    key, txid = parse_query(query)
+    return build_response(txid, key, [FALLBACK_ANSWER], 300)
+
+
+def test_plain_udp_fallback_forwards_misses():
+    miss = akey("not-on-any-list.example")
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as resolver:
+        resolver.bind(("127.0.0.1", 0))
+
+        def answer_once():
+            query, peer = resolver.recvfrom(4096)
+            resolver.sendto(answer_query(query), peer)
+
+        thread = threading.Thread(target=answer_once)
+        thread.start()
+        client = fallback_client(PlainUdpFallback(resolver.getsockname(), timeout=0.5))
+        answered = parse_response(client.resolve(build_query(41, miss)))
+        thread.join()
+        assert (answered.txid, answered.rcode) == (41, 0)
+        assert answered.answers[0].data == FALLBACK_ANSWER.data
+        # the resolver answers no more: the stub says SERVFAIL
+        failed = parse_response(client.resolve(build_query(42, miss)))
+    assert (failed.txid, failed.rcode) == (42, 2)
+    assert (client.misses, client.fallback_failures) == (2, 1)
+
+
+def test_doh_fallback_forwards_misses(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+    class Resolver(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            query = self.rfile.read(int(self.headers["Content-Length"]))
+            if self.path != "/dns-query":
+                self.send_error(500)
+                return
+            assert self.headers["Content-Type"] == "application/dns-message"
+            reply = answer_query(query)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/dns-message")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Resolver)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        base = "http://127.0.0.1:%d" % server.server_address[1]
+        miss = akey("not-on-any-list.example")
+        client = fallback_client(DohFallback(base + "/dns-query"))
+        answered = parse_response(client.resolve(build_query(43, miss)))
+        assert (answered.txid, answered.rcode) == (43, 0)
+        assert answered.answers[0].data == FALLBACK_ANSWER.data
+        client.fallback = DohFallback(base + "/broken")
+        failed = parse_response(client.resolve(build_query(44, miss)))
+        assert (failed.txid, failed.rcode) == (44, 2)
+        assert (client.misses, client.fallback_failures) == (2, 1)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
 def ask(addr, key: RecordKey, txid: int):
     """One query to a stub over UDP: the parsed reply, or None after 1 s."""
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
@@ -907,7 +1075,7 @@ def test_undecodable_snapshot_ends_the_session_and_the_stub_keeps_answering(
     snapshot[16] = 0xFF  # first byte of the first label: not ascii
     bad = world.maintainer.generation.to_bytes(8, "big") + bytes(snapshot)
     with caplog.at_level(logging.WARNING, logger="lluad.client"):
-        world.server._sessions["cli0"].send(wire.MSG_LIST_SNAPSHOT, bad)
+        world.server._sessions["cli0"].stream.send(wire.MSG_LIST_SNAPSHOT, bad)
         assert wait_until(lambda: not client.connected)
     assert "bad frame from server" in caplog.text
     assert wait_until(lambda: "cli0" not in world.server._sessions)

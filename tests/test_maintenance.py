@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from lluad.dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
+from lluad.dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType, build_query
 from lluad.maintenance import (
     LbUpdate,
     Maintainer,
@@ -582,6 +582,25 @@ def test_upstream_ignores_a_reply_from_another_address(scripted_resolver):
     upstream = PlainUdpUpstream(scripted_resolver(script), timeout=0.3, retries=1)
     with spoofer:
         assert upstream.resolve(key("www.example")).answers == (b"\xc0\x00\x02\x01",)
+
+
+def test_upstream_refuses_a_reply_to_another_question(one_shot_resolver):
+    """A reply to another question under the query's transaction id is a
+    failed try (RFC 5452, section 3), so it cannot evict a listed record."""
+
+    def other_question(query: bytes) -> bytes:
+        other = query[:2] + build_query(0, key("other.example"))[2:]
+        return _reply(other, RecordType.A, b"\xc0\x00\x02\x09")
+
+    upstream = PlainUdpUpstream(one_shot_resolver(other_question), timeout=0.3, retries=1)
+    with pytest.raises(UpstreamFailure):
+        upstream.resolve(key("www.example"))
+    m, listed = build_with_record(ScriptedUpstream(), "www.example")
+    m.upstream = PlainUdpUpstream(
+        one_shot_resolver(other_question), timeout=0.3, retries=1
+    )
+    assert m.run_ttl(121.0) == []
+    assert lookup(m.plist, listed) is not None
 
 
 def test_upstream_short_address_is_a_failed_try(one_shot_resolver):

@@ -440,6 +440,19 @@ def test_hashed_vote_learns_via_fragments_then_tallies():
     assert result.tally[long_key] == 1 and result.unknown_digests == ()
 
 
+def test_direct_votes_teach_the_digest_table_nothing():
+    # a short name always votes in the clear, so no hashed vote needs its digest
+    world = MixWorld(n_shufflers=6, n_shuffle=2, quota=3, seed=46)
+    votes = {f"c{i}": [key(f"fresh{i}.example"), key("shared.example")] for i in range(3)}
+    before = dict(world.server.digest_table)
+    _, batches = world.submit(votes)
+    result = world.server.run_round(world.ctx, batches)
+    assert world.server.digest_table == before
+    expected = Counter({key(f"fresh{i}.example"): 1 for i in range(3)})
+    expected[key("shared.example")] = 3
+    assert result.tally == expected
+
+
 # -- fault injection ---------------------------------------------------------
 
 

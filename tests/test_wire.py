@@ -48,6 +48,41 @@ def test_frame_stream_round_trip_over_socketpair():
     b.close()
 
 
+def test_frames_sent_from_two_threads_arrive_whole():
+    left, right = socket.socketpair()
+    a, b = wire.FrameStream(left), wire.FrameStream(right)
+    count, size = 20, 200_000
+    received, errors = [], []
+
+    def send_all(msg_type):
+        try:
+            for _ in range(count):
+                a.send(msg_type, bytes([msg_type]) * size)
+        except OSError as exc:  # only when the reader gave up and closed
+            errors.append(exc)
+
+    def read_all():
+        try:
+            for _ in range(2 * count):
+                received.append(b.recv())
+        except (wire.FrameError, wire.ConnectionClosed, OSError) as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=send_all, args=(t,)) for t in (0x61, 0x62)]
+    threads.append(threading.Thread(target=read_all))
+    for thread in threads:
+        thread.start()
+    threads[-1].join(timeout=30.0)
+    a.close()
+    b.close()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    for msg_type, body in received:
+        assert body == bytes([msg_type]) * size
+    assert sorted(t for t, _ in received) == [0x61] * count + [0x62] * count
+
+
 def test_list_request_round_trip():
     body = wire.encode_list_request("client-7", "s3cret tok")
     assert wire.decode_list_request(body) == ("client-7", "s3cret tok")
