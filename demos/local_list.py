@@ -28,12 +28,12 @@ def key(name: str, rtype: RecordType = RecordType.A) -> RecordKey:
 
 
 def show(plist, name: str) -> None:
-    hit = lookup(plist, key(name))
-    if hit is None:
+    answers = lookup(plist, key(name))
+    if answers is None:
         print(f"  {name:18s} -> miss, would fall back to an external resolver")
         return
     chain = []
-    for answer in hit.answers:
+    for answer in answers:
         if answer.rtype == RecordType.CNAME:
             chain.append(f"CNAME {answer.cname_target}")
         else:

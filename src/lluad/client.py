@@ -12,13 +12,13 @@ installs it: a query never waits for an update to be computed.
 
 from __future__ import annotations
 
+import http.client
 import logging
 import socket
 import ssl
 import struct
 import threading
 import time
-import urllib.error
 import urllib.request
 from collections import OrderedDict
 from random import Random
@@ -63,10 +63,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_DNS_PORT = 5353
 DIGEST_MEMORY_CAP = 4096
-
-
-class FallbackError(Exception):
-    """The fallback resolver could not produce a response."""
 
 
 class AuthRejected(Exception):
@@ -120,10 +116,7 @@ class PlainUdpFallback:
         self.timeout = timeout
 
     def forward(self, query: bytes) -> bytes:
-        try:
-            return udp_exchange(query, self.endpoint, self.timeout)
-        except OSError as exc:
-            raise FallbackError(f"upstream {self.endpoint}: {exc}") from exc
+        return udp_exchange(query, self.endpoint, self.timeout)
 
 
 class DohFallback:
@@ -142,11 +135,8 @@ class DohFallback:
                 "Accept": "application/dns-message",
             },
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.read()
-        except (urllib.error.URLError, OSError) as exc:
-            raise FallbackError(f"DoH endpoint {self.url}: {exc}") from exc
+        with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            return resp.read()
 
 
 class SimulatedFallback:
@@ -403,8 +393,6 @@ class LluadClient:
         assert self._stream is not None
         self._round_ctx = ctx
         self._sent_votes = []
-        if self.node is not None:
-            self.node.begin_round()
         if any(j not in self.shuffler_pubs for j in ctx.online_indexes):
             log.warning("client %s: unknown shuffler online, skipping", self.client_id)
         elif ctx.can_run:
@@ -485,12 +473,12 @@ class LluadClient:
         except MalformedMessage:
             return None
         plist = self._plist
-        hit = lookup(plist, key) if plist is not None else None
+        answers = lookup(plist, key) if plist is not None else None
         with self._lock:
             self.buffer.offer(key)
-        if hit is not None:
+        if answers is not None:
             self.hits += 1
-            return build_response(txid, key, hit.answers, self.min_ttl)
+            return build_response(txid, key, answers, self.min_ttl)
         return self._forward(query)
 
     def _forward(self, query: bytes) -> bytes:
@@ -500,7 +488,8 @@ class LluadClient:
             return _header_only_reply(query, RCODE_SERVFAIL)
         try:
             return self.fallback.forward(query)
-        except (FallbackError, MalformedMessage, UnsupportedType):
+        except (OSError, ValueError, http.client.HTTPException):
+            # sockets and urllib's URLError; parse errors; a garbled HTTP reply
             self.fallback_failures += 1
             return _header_only_reply(query, RCODE_SERVFAIL)
 

@@ -337,7 +337,9 @@ class Maintainer:
         return self.plist.generation
 
     def ingest_votes(self, keys: Iterable[RecordKey]) -> None:
-        self._tallies.update(keys)
+        """Tally votes.  A CNAME is a link in an A or AAAA chain, never
+        ranked for itself, so CNAME-typed votes are dropped."""
+        self._tallies.update(k for k in keys if k.rtype != RecordType.CNAME)
 
     # -- membership refresh ------------------------------------------------
 

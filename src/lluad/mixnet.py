@@ -437,7 +437,8 @@ class ShufflerNode:
 
     Flow tables live for one round.  A node can serve several hops in
     the same round (hash chains may revisit it), so tables stack in hop
-    order and the ack phase pops them in reverse.
+    order and the ack phase pops them in reverse.  The first batch of a
+    new round id drops any tables a broken-off round left behind.
     """
 
     def __init__(self, shuffler_index: int, k_priv: int, rng: Random | None = None):
@@ -445,14 +446,14 @@ class ShufflerNode:
         self._key = Key(k_priv)
         self._rng = rng or Random()
         self._flow_stack: list[dict[tuple[bytes, bytes], _FlowEntry]] = []
+        self._round: int | None = None  # the round id the stacked tables belong to
         self.invalid_packets = 0
         self.cover_acks_sent = 0
         self.unknown_acks = 0
 
-    def begin_round(self) -> None:
-        self._flow_stack.clear()
-
     def process_batch(self, batch: Sequence[MixPacket], t_timestamp: int) -> list[MixPacket]:
+        if t_timestamp != self._round:
+            self._round, self._flow_stack = t_timestamp, []
         table: dict[tuple[bytes, bytes], _FlowEntry] = {}
         out = []
         for pkt in batch:
@@ -471,7 +472,7 @@ class ShufflerNode:
 
     def process_acks(self, acks: Sequence[MixPacket], t_timestamp: int) -> list[MixPacket]:
         """Route acks one hop backwards; cover every flow without one."""
-        if not self._flow_stack:
+        if t_timestamp != self._round or not self._flow_stack:
             self.unknown_acks += len(acks)
             return []
         table = self._flow_stack.pop()
@@ -507,8 +508,6 @@ class RoundTransport(Protocol):
     """How the round machine reaches shufflers; in-process for tests and
     simulation, framed sockets in the daemon."""
 
-    def begin_round(self, ctx: RoundContext) -> None: ...
-
     def exchange(
         self,
         assignments: Mapping[int, Sequence[MixPacket]],
@@ -523,11 +522,6 @@ class LocalTransport:
 
     def __init__(self, nodes: Mapping[int, ShufflerNode]):
         self.nodes = dict(nodes)
-
-    def begin_round(self, ctx: RoundContext) -> None:
-        for j in ctx.online_indexes:
-            if j in self.nodes:
-                self.nodes[j].begin_round()
 
     def exchange(self, assignments, phase, hop, t_timestamp):
         out = {}
@@ -636,7 +630,6 @@ class RoundServer:
                 f"need {ctx.n_shuffle + 1} online shufflers, have {ctx.active_count}"
             )
         t = ctx.t_timestamp
-        self.transport.begin_round(ctx)
 
         # submission stage: enforce quota, route by hop hash
         accepted: dict = {}

@@ -171,12 +171,6 @@ class PopularityList:
         )
 
 
-class Hit(NamedTuple):
-    """Lookup success: the full answer chain, CNAMEs first."""
-
-    answers: tuple[RecordAnswer, ...]
-
-
 def _canonical(d: RecordDef) -> RecordDef:
     """The form the table holds: sorted, deduplicated pools and CNAME
     targets in uncompressed lowercase wire form."""
@@ -238,16 +232,16 @@ def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList
     return PopularityList(table, order, generation)
 
 
-def lookup(plist: PopularityList, key: RecordKey) -> Hit | None:
+def lookup(plist: PopularityList, key: RecordKey) -> tuple[RecordAnswer, ...] | None:
     """Resolve a key, following CNAME indirections inside the list.
 
-    Returns the complete answer chain on success, None on a miss.
+    Returns the complete answer chain, CNAMEs first, or None on a miss.
     """
     records = plist.records
     found = records.get(key)
     rtype = key.rtype
     if found is not None:
-        return Hit((tuple.__new__(RecordAnswer, (rtype, found.answer)),))
+        return (tuple.__new__(RecordAnswer, (rtype, found.answer)),)
     answers: list[RecordAnswer] = []
     name = key.name
     for _ in range(CNAME_CHAIN_LIMIT - 1):  # a chain holds at most the limit
@@ -259,7 +253,7 @@ def lookup(plist: PopularityList, key: RecordKey) -> Hit | None:
         found = records.get(RecordKey(name, rtype))
         if found is not None:
             answers.append(tuple.__new__(RecordAnswer, (rtype, found.answer)))
-            return Hit(tuple(answers))
+            return tuple(answers)
     return None
 
 

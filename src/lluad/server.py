@@ -6,8 +6,10 @@ One owner per piece of state: the caller's control thread owns the
 maintainer and its triggers, so maintenance I/O holds no lock a session
 needs; the acceptor thread owns the connection table and starts one
 reader thread per session; `_state_lock` guards the sessions,
-`_published` (the list the broadcasts have reached) and the report
-window.  `_round_lock` runs one round at a time.
+`_published` (the list every later login is sent) and the report
+window.  `_round_lock` runs one round at a time.  Lock order: a
+session's stream `send_lock`, then `_state_lock`; no frame is sent while
+`_state_lock` is held, so no session waits on another's socket.
 """
 
 from __future__ import annotations
@@ -133,14 +135,17 @@ class ClientRegistry:
 
 
 class _Session:
-    """One connection, logged in once `entry` is set.  `asked` counts the
-    round requests sent and `taken` the replies consumed, by the round
-    thread; `received` the replies queued, by the session's reader."""
+    """One connection, logged in once `entry` is set.  `at` is the list
+    value the list frames sent so far bring it to, set under the stream's
+    `send_lock`.  `asked` counts the round requests sent and `taken` the
+    replies consumed, by the round thread; `received` the replies queued,
+    by the session's reader."""
 
     def __init__(self, stream: wire.FrameStream, peer):
         self.stream = stream
         self.peer = peer
         self.entry: RegistryEntry | None = None
+        self.at = None
         self.replies: queue.Queue = queue.Queue()
         self.asked = self.received = self.taken = 0
 
@@ -282,7 +287,7 @@ class LluadServer:
 
     def _login(self, session: _Session, body: bytes) -> bool:
         """Authenticate a LIST_REQUEST (a first frame or a resync), then
-        send the session the published list and (re)register it.  False,
+        (re)register the session and send it the published list.  False,
         after ERR_AUTH, ends the session."""
         try:
             entry = self.registry.authenticate(*wire.decode_list_request(body))
@@ -291,16 +296,18 @@ class LluadServer:
         except (wire.FrameError, AuthFailure) as exc:
             self._send_error(session, ERR_AUTH, str(exc))
             return False
-        with self._state_lock:
-            # sent first: a session dropped or displaced meanwhile fails here
+        # a publish sends its frames after the snapshot, or skips this session
+        with session.stream.send_lock:
+            with self._state_lock:
+                session.at = self._published
+                session.entry = entry
+                old = self._sessions.get(entry.client_id, session)
+                if old is not session:
+                    old.stream.close()
+                self._sessions[entry.client_id] = session
             session.stream.send(
-                wire.MSG_LIST_SNAPSHOT, wire.encode_list_snapshot(self._published)
+                wire.MSG_LIST_SNAPSHOT, wire.encode_list_snapshot(session.at)
             )
-            session.entry = entry
-            old = self._sessions.get(entry.client_id, session)
-            if old is not session:
-                old.stream.close()
-            self._sessions[entry.client_id] = session
         return True
 
     def _send(self, session: _Session, msg_type: int, body: bytes) -> bool:
@@ -356,20 +363,28 @@ class LluadServer:
     # -- maintenance triggers ------------------------------------------------
 
     def _publish(self, messages) -> int:
-        """Broadcast the maintainer's `messages`, then send its list to
-        every later login."""
+        """Send the maintainer's `messages` to every session that no login
+        has brought to its list yet, then send that list to every later login."""
+        frames = []
+        for message in messages:
+            if isinstance(message, MembershipUpdate):
+                for record in message.additions:
+                    self.round_server.learn_record(record.key)
+                frames.append(
+                    (wire.MSG_MEMBERSHIP_UPDATE, wire.encode_membership_update(message))
+                )
+            else:
+                frames.append((wire.MSG_LB_UPDATE_BATCH, wire.encode_lb_update(message)))
+        plist = self.maintainer.plist
         with self._state_lock:
-            for message in messages:
-                if isinstance(message, MembershipUpdate):
-                    for record in message.additions:
-                        self.round_server.learn_record(record.key)
-                    frame = (
-                        wire.MSG_MEMBERSHIP_UPDATE, wire.encode_membership_update(message)
-                    )
-                else:
-                    frame = wire.MSG_LB_UPDATE_BATCH, wire.encode_lb_update(message)
-                self._broadcast(*frame)
-            self._published = self.maintainer.plist
+            self._published = plist
+            sessions = list(self._sessions.values())
+        for session in sessions:
+            with session.stream.send_lock:
+                if session.at is not plist:
+                    for frame in frames:
+                        self._send(session, *frame)
+                    session.at = plist
         return len(messages)
 
     def trigger_refresh(self, now: float) -> int:
@@ -383,9 +398,6 @@ class LluadServer:
         return self._publish(messages if batch is None else [*messages, batch])
 
     # -- vote rounds --------------------------------------------------------
-
-    def begin_round(self, ctx: RoundContext) -> None:
-        """Round transport of `round_server`: shufflers reset on ROUND_START."""
 
     def exchange(self, assignments, phase: str, hop: int, t_timestamp: int):
         msg_type = wire.MSG_VOTE_BATCH if phase == "vote" else wire.MSG_ACK_BATCH

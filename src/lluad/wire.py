@@ -77,16 +77,17 @@ def encode_frame(msg_type: int, body: bytes) -> bytes:
 class FrameStream:
     """Blocking framed messages over a connected stream socket.  A socket
     timeout fails a send that makes no progress; reads wait through it.
-    Sends from several threads go out one whole frame at a time."""
+    Sends from several threads go out one whole frame at a time; a caller
+    that holds `send_lock` across several sends keeps them together."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._send_lock = threading.Lock()  # close() skips it: it wakes a stalled send
+        self.send_lock = threading.RLock()  # close() skips it: it wakes a stalled send
 
     def send(self, msg_type: int, body: bytes = b"") -> None:
         # in chunks: a TLS write has one deadline for all it is given
         frame = memoryview(encode_frame(msg_type, body))
-        with self._send_lock:
+        with self.send_lock:
             while frame:
                 frame = frame[self._sock.send(frame[:16384]) :]
 

@@ -139,9 +139,6 @@ class ConstantSizeTransport:
         self.seen = 0
         self.violations = 0
 
-    def begin_round(self, ctx):
-        self.inner.begin_round(ctx)
-
     def _audit(self, batches):
         for batch in batches.values():
             for pkt in batch:

@@ -43,11 +43,14 @@ from lluad.dnsmsg import (
     parse_response,
 )
 from lluad.maintenance import (
+    LbUpdate,
     MaintenanceConfig,
     Maintainer,
+    MembershipUpdate,
     SimulatedUpstream,
     UpstreamAnswer,
     UpstreamFailure,
+    apply_update,
 )
 from lluad.mixnet import (
     DIGEST_LEN,
@@ -61,10 +64,11 @@ from lluad.mixnet import (
     record_digest,
     select_shufflers,
 )
-from lluad.poplist import build_list, serialize
+from lluad.poplist import RecordDef, build_list, serialize
 from lluad.server import (
     ERR_AUTH,
     ERR_PROTOCOL,
+    ERR_ROUND_ABORTED,
     TLS_HANDSHAKE_TIMEOUT,
     ClientRegistry,
     LluadServer,
@@ -346,13 +350,13 @@ def test_a_query_never_waits_for_an_update_to_be_computed(world_factory, monkeyp
 def test_pool_rotations_reach_every_client(world_factory, monkeypatch):
     world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
     sent = []
-    broadcast = world.server._broadcast
+    send = world.server._send
 
-    def counted(msg_type, body):
+    def counted(session, msg_type, body):
         sent.append(msg_type)
-        broadcast(msg_type, body)
+        return send(session, msg_type, body)
 
-    monkeypatch.setattr(world.server, "_broadcast", counted)
+    monkeypatch.setattr(world.server, "_send", counted)
     key = world.list_keys[0]
     ips = [bytes([10, 0, 0, i]) for i in range(1, 4)]
     # three answer sets within the change window make it load-balanced;
@@ -843,6 +847,96 @@ def test_a_stalled_reader_is_dropped_and_the_server_serves_on(tls, tmp_path):
         world.stop()
 
 
+def publish_by_hand(world: World, message) -> None:
+    """Apply `message` to the maintainer's list by hand, and publish it."""
+    world.maintainer.plist = apply_update(world.maintainer.plist, message)
+    world.server._publish([message])
+
+
+def add_pool(world: World) -> None:
+    answers = tuple(bytes([10, 0, 0, i]) for i in range(1, 4))
+    record = RecordDef(akey("pool.example.com"), answers[0], answers)
+    publish_by_hand(world, MembershipUpdate(additions=(record,)))
+
+
+def test_a_login_waits_on_no_other_sessions_stalled_socket(world_factory, monkeypatch):
+    world = world_factory(n_shufflers=0, n_plain=4)
+    add_pool(world)
+    stalled = []
+    for cid in ("cli1", "cli2", "cli3"):
+        world.clients.pop(cid).close()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(world.server.address)
+        stalled.append(wire.FrameStream(sock))
+        stalled[-1].send(wire.MSG_LIST_REQUEST, wire.encode_list_request(cid, f"tok-{cid}"))
+        assert stalled[-1].recv()[0] == wire.MSG_LIST_SNAPSHOT  # and never reads again
+    rotation = LbUpdate(((0, 1),) * 40000)  # 200 kB a frame
+    sending: dict = {}  # session -> when its frame's send began
+    send = world.server._send
+
+    def timed(session, msg_type, body):
+        sending[session] = time.monotonic()
+        try:
+            return send(session, msg_type, body)
+        finally:
+            del sending[session]
+
+    monkeypatch.setattr(world.server, "_send", timed)
+
+    def publish():
+        for _ in range(25):
+            publish_by_hand(world, rotation)
+
+    publisher = threading.Thread(target=publish)
+    publisher.start()
+    try:
+        # a frame stuck for 0.5 s: the stalled sessions now hold up sends
+        stuck = lambda: any(time.monotonic() - t > 0.5 for t in list(sending.values()))
+        assert wait_until(stuck, timeout=10.0)
+        fresh = world.clients["cli0"]
+        started = time.monotonic()
+        fresh.reconnect()
+        assert time.monotonic() - started < 1.0
+    finally:
+        publisher.join(timeout=20.0)
+        for stream in stalled:
+            stream.close()
+    assert not publisher.is_alive()
+    assert not {"cli1", "cli2", "cli3"} & world.server._sessions.keys()
+    assert fresh.wait_for_generation(world.maintainer.generation)
+    assert serialize(fresh.plist) == serialize(world.maintainer.plist)
+
+
+def test_a_resync_during_a_publish_takes_no_batch_twice(world_factory):
+    world = world_factory(n_shufflers=0, n_plain=2)
+    add_pool(world)
+    resyncing = world.clients["cli1"]
+    slowed = world.server._sessions["cli0"].stream
+    send, sending = slowed.send, threading.Event()
+
+    def slow_send(msg_type, body=b""):
+        sending.set()
+        time.sleep(0.5)
+        send(msg_type, body)
+
+    slowed.send = slow_send
+    for step in range(1, 4):
+        sending.clear()
+        publisher = threading.Thread(
+            target=publish_by_hand, args=(world, LbUpdate(((0, step),)))
+        )
+        publisher.start()
+        assert sending.wait(5.0)
+        resyncing.resync()  # while the batch is held up on cli0
+        publisher.join(timeout=10.0)
+        assert not publisher.is_alive()
+        # an error frame after the batch: once it is read, so is all before it
+        world.server._broadcast(wire.MSG_ERROR, wire.encode_error(ERR_ROUND_ABORTED, "mark"))
+        assert wait_until(lambda: len(resyncing.errors) == step)
+        assert serialize(resyncing.plist) == serialize(world.maintainer.plist)
+
+
 def test_shuffler_cap_restricts_participants(world_factory):
     world = world_factory(n_shufflers=6, n_plain=0, n_shuffle=2, shuffler_cap=4)
     t = 123456
@@ -987,6 +1081,9 @@ def test_doh_fallback_forwards_misses(monkeypatch):
     class Resolver(http.server.BaseHTTPRequestHandler):
         def do_POST(self):
             query = self.rfile.read(int(self.headers["Content-Length"]))
+            if self.path == "/garbage":
+                self.wfile.write(b"garbage\r\n\r\n")  # in place of a status line
+                return
             if self.path != "/dns-query":
                 self.send_error(500)
                 return
@@ -1015,7 +1112,17 @@ def test_doh_fallback_forwards_misses(monkeypatch):
         failed = parse_response(client.resolve(build_query(44, miss)))
         assert (failed.txid, failed.rcode) == (44, 2)
         assert (client.misses, client.fallback_failures) == (2, 1)
+        # a reply that is not HTTP is a failure too, and the stub serves on
+        client.fallback = DohFallback(base + "/garbage")
+        stub = client.start_dns_listener(port=0)
+        failed = ask(stub, miss, 45)
+        assert failed is not None and (failed.txid, failed.rcode) == (45, 2)
+        assert (client.misses, client.fallback_failures) == (3, 2)
+        client.fallback = DohFallback(base + "/dns-query")
+        answered = ask(stub, miss, 46)
+        assert answered is not None and (answered.txid, answered.rcode) == (46, 0)
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         thread.join()

@@ -195,7 +195,7 @@ def test_refresh_materializes_cname_closure():
         key("edge.cdn.example"),
     }
     hit = lookup(m.plist, voted)
-    assert hit is not None and hit.answers[-1].data == bytes([198, 51, 100, 7])
+    assert hit is not None and hit[-1].data == bytes([198, 51, 100, 7])
 
 
 def test_refresh_skips_unresolvable_votes_and_retries_later():
@@ -210,6 +210,21 @@ def test_refresh_skips_unresolvable_votes_and_retries_later():
     m.ingest_votes([k])  # scores persisted; next refresh picks it up
     msgs = m.run_refresh(3600.0)
     assert msgs and msgs[0].additions[0].key == k
+
+
+def test_cname_typed_votes_are_not_ranked():
+    """A stub query of type CNAME reaches the vote buffer too.  Ranked
+    for itself, such a link would be listed without its target, and
+    every later refresh would fail on the list rules."""
+    universe = SyntheticUniverse(UniverseConfig(2000, seed=3, cname_fraction=0.05))
+    m = Maintainer(cfg(), universe.upstream(), rng=random.Random(3))
+    alias = universe.keys[universe.kind.index("cname")]
+    m.ingest_votes([RecordKey(alias.name, RecordType.CNAME)])
+    assert m.run_refresh(0.0) == []
+    assert record_count(m.plist) == 0
+    m.ingest_votes([alias])
+    assert m.run_refresh(3600.0)
+    assert lookup(m.plist, alias)[0].rtype == RecordType.CNAME
 
 
 def test_unvoted_records_decay_out():
@@ -255,7 +270,7 @@ def test_ttl_answer_change_emits_upsert():
     msgs = m.run_ttl(121.0)
     assert len(msgs) == 1
     assert msgs[0].additions[0].answer == bytes([192, 0, 2, 9])
-    assert lookup(m.plist, k).answers[0].data == bytes([192, 0, 2, 9])
+    assert lookup(m.plist, k)[0].data == bytes([192, 0, 2, 9])
 
 
 def test_ttl_nxdomain_removes_record():
@@ -313,7 +328,7 @@ def test_cname_target_swap_updates_closure():
     msgs = m.run_ttl(61.0)
     assert msgs
     hit = lookup(m.plist, voted)
-    assert hit.answers[-1].data == bytes([203, 0, 113, 2])
+    assert hit[-1].data == bytes([203, 0, 113, 2])
     assert lookup(m.plist, key("old-cdn.example")) is None
 
 
@@ -439,7 +454,7 @@ def test_retargeted_cname_chains_keep_replica_identical():
     for msg in msgs:
         replica = apply_update(replica, msg)
     assert replica.same_structure(m.plist) and replica.generation == m.generation
-    assert lookup(m.plist, voted).answers[-1].data == bytes([203, 0, 113, 2])
+    assert lookup(m.plist, voted)[-1].data == bytes([203, 0, 113, 2])
     assert record_count(m.plist) == 2
 
     # a plain retarget: www -> mid becomes www -> new-origin
@@ -450,7 +465,7 @@ def test_retargeted_cname_chains_keep_replica_identical():
         replica = apply_update(replica, msg)
     assert replica.same_structure(m.plist) and replica.generation == m.generation
     assert lookup(m.plist, key("mid.example")) is None
-    assert lookup(m.plist, voted).answers[-1].data == bytes([203, 0, 113, 3])
+    assert lookup(m.plist, voted)[-1].data == bytes([203, 0, 113, 3])
 
 
 def test_maintainer_output_is_pinned():

@@ -286,7 +286,6 @@ def test_node_transform_matches_direct_computation():
     rng = random.Random(31)
     priv, pub = keypair(rng)
     node = ShufflerNode(0, priv, random.Random(32))
-    node.begin_round()
     batch = make_packets(5, pub, rng)
     out = node.process_batch(batch, 9)
     expected = set()
@@ -302,7 +301,6 @@ def test_node_drops_invalid_elements():
     rng = random.Random(33)
     priv, pub = keypair(rng)
     node = ShufflerNode(0, priv, random.Random(34))
-    node.begin_round()
     batch = make_packets(2, pub, rng)
     bogus = MixPacket(bytes(32), rng.randbytes(16), rng.randbytes(32))  # low-order
     out = node.process_batch(batch + [bogus], 9)
@@ -315,13 +313,11 @@ def test_shuffle_permutation_is_uniform():
     priv, pub = keypair(rng)
     node = ShufflerNode(0, priv, random.Random(36))
     batch = make_packets(4, pub, rng)
-    node.begin_round()
     base = node.process_batch(batch, 9)
     order = {((o.p, o.h)): i for i, o in enumerate(sorted(base, key=lambda o: o.p))}
     perm_index = {perm: i for i, perm in enumerate(permutations(range(4)))}
     counts = Counter()
     for _ in range(480):
-        node.begin_round()
         out = node.process_batch(batch, 9)
         counts[perm_index[tuple(order[(o.p, o.h)] for o in out)]] += 1
     assert len(counts) == 24
@@ -338,9 +334,6 @@ class SizeCheckingTransport:
     def __init__(self, inner):
         self.inner = inner
         self.packets_seen = 0
-
-    def begin_round(self, ctx):
-        self.inner.begin_round(ctx)
 
     def exchange(self, assignments, phase, hop, t_timestamp):
         for batch in assignments.values():

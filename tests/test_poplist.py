@@ -84,7 +84,7 @@ def test_lookup_agrees_with_flat_resolver_on_random_sets():
                     assert got is None, probe
                 else:
                     assert got is not None, probe
-                    assert list(got.answers) == expected
+                    assert list(got) == expected
         # misses stay misses
         assert lookup(plist, key("definitely-absent.example")) is None
 
@@ -97,13 +97,13 @@ def test_cname_chain_lookup_returns_full_chain():
     ]
     hit = lookup(build_list(defs), key("www.shop.io"))
     assert hit is not None
-    assert [a.rtype for a in hit.answers] == [
+    assert [a.rtype for a in hit] == [
         RecordType.CNAME,
         RecordType.CNAME,
         RecordType.A,
     ]
-    assert hit.answers[0].cname_target.dotted == "edge.example.net"
-    assert hit.answers[-1].data == bytes([198, 51, 100, 9])
+    assert hit[0].cname_target.dotted == "edge.example.net"
+    assert hit[-1].data == bytes([198, 51, 100, 9])
 
 
 def test_lookup_follows_chains_up_to_the_limit():
@@ -117,8 +117,8 @@ def test_lookup_follows_chains_up_to_the_limit():
         return lookup(build_list(defs), key("hop0.example"))
 
     hit = chained(CNAME_CHAIN_LIMIT - 1)
-    assert len(hit.answers) == CNAME_CHAIN_LIMIT
-    assert hit.answers[-1] == RecordAnswer.a("192.0.2.1")
+    assert len(hit) == CNAME_CHAIN_LIMIT
+    assert hit[-1] == RecordAnswer.a("192.0.2.1")
     assert chained(CNAME_CHAIN_LIMIT) is None
 
 
@@ -146,7 +146,7 @@ def test_pool_groups_are_canonical():
     assert plist.pool.groups[1].answers == (a1, a2, a3)  # sorted by content
     assert plist.pool.groups[1].active == a2
     hit = lookup(plist, key("z.cdn.example"))
-    assert hit.answers[0].data == a2
+    assert hit[0].data == a2
 
 
 def test_lb_update_rotates_mod_group_size():
@@ -224,7 +224,7 @@ def test_upsert_replaces_in_place():
     updated = apply_membership_update(
         plist, additions=[plain("site.example", "192.0.2.99")]
     )
-    assert lookup(updated, key("site.example")).answers[0].data == bytes(
+    assert lookup(updated, key("site.example"))[0].data == bytes(
         [192, 0, 2, 99]
     )
     assert record_count(updated) == 1
@@ -324,8 +324,8 @@ def test_cname_slot_paths_survive_forward_references():
     plist = build_list(defs)
     again = deserialize(serialize(plist))
     hit = lookup(again, key("aa-alias.example"))
-    assert hit.answers[0].rtype == RecordType.CNAME
-    assert hit.answers[1].data == bytes([192, 0, 2, 1])
+    assert hit[0].rtype == RecordType.CNAME
+    assert hit[1].data == bytes([192, 0, 2, 1])
 
 
 def test_slots_ordered_by_type_code():
@@ -515,7 +515,7 @@ def test_incremental_updates_match_rebuild_of_flat_model(rng):
         for probe in probes:
             expected = flat_resolve(list(model.values()), probe)
             got = lookup(plist, probe)
-            assert (None if got is None else list(got.answers)) == expected, probe
+            assert (None if got is None else list(got)) == expected, probe
 
 
 def test_snapshot_bytes_pinned():
