@@ -51,6 +51,7 @@ from .poplist import (
     apply_lb_update,
     apply_membership_update,
     build_list,
+    chain,
 )
 
 
@@ -293,7 +294,7 @@ class Maintainer:
 
     The list holds exactly the records that serve a ranked key through a
     complete chain.  A ranked key whose own record is listed is served
-    directly; the chain index keeps the rest:
+    directly; the chain index keeps the rest, as `poplist.chain` walks it:
 
         _rank   ranked key -> its place in the ranking, in ranking order
         _links  ranked key -> its chain, CNAME links first, when complete
@@ -390,28 +391,16 @@ class Maintainer:
         touched: set[RecordKey],
     ) -> None:
         """Index the chain of `voted` as it stands in `defs`."""
-        links: list[RecordKey] = []
-        name = voted.name
-        for _ in range(CNAME_CHAIN_LIMIT):
-            key = RecordKey(name, voted.rtype)
-            if key in defs:
-                break
-            ck = RecordKey(name, RecordType.CNAME)
-            if ck not in defs:
-                self._open.add(voted)
-                return
-            links.append(defs[ck].key)  # a copy per link would cost 0.7 MB at 25k
-            name = defs[ck].cname_target
-        else:
+        passed, stop = chain(defs, voted)
+        if stop is not None:
             self._open.add(voted)
             return
-        touched.add(key)
-        if links:
-            links.append(defs[key].key)
-            self._links[voted] = tuple(links)
+        links = tuple(d.key for d in passed)  # a copy per link would cost 0.7 MB at 25k
+        touched.update(links)
+        if len(links) > 1:
+            self._links[voted] = links
             for link in links:
                 self._via.setdefault(link, []).append(voted)
-                touched.add(link)
 
     def _users(self, key: RecordKey) -> set[RecordKey]:
         """The ranked keys a listed record serves."""
@@ -432,50 +421,32 @@ class Maintainer:
         self, defs: dict[RecordKey, RecordDef], voted: RecordKey, now: float
     ) -> None:
         """Materialize the record (and any CNAME links) serving `voted`."""
-        name = voted.name
-        walked: set[DomainName] = set()
-        for _ in range(CNAME_CHAIN_LIMIT):
-            walked.add(name)
-            if RecordKey(name, voted.rtype) in defs:
-                return
-            ck = RecordKey(name, RecordType.CNAME)
-            if ck in defs:
-                name = defs[ck].cname_target
-                if name in walked:
-                    return
-                continue
+        while True:
+            passed, stop = chain(defs, voted)
+            if stop is None or len(passed) == CNAME_CHAIN_LIMIT:
+                return  # served, or a loop or too long a chain
+            key = RecordKey(stop, voted.rtype)
             try:
-                answer = self.upstream.resolve(RecordKey(name, voted.rtype))
+                answer = self.upstream.resolve(key)
             except UpstreamFailure:
                 return  # score persists; retried next refresh
-            if answer.cname is not None:
-                if answer.cname in walked or self._would_cycle(defs, answer.cname, name):
-                    return
-                defs[ck] = RecordDef(ck, RecordAnswer.cname(answer.cname).data)
-                self._schedule_key(ck, answer.ttl, now)
-                name = answer.cname
-                continue
-            observed = _canonical_answers(answer.answers)
-            if not observed:
+            if answer.cname is None:
+                observed = _canonical_answers(answer.answers)
+                if observed:
+                    defs[key] = RecordDef(key, self.rng.choice(observed))
+                    self._seed_history(key, observed, now)
+                    self._schedule_key(key, answer.ttl, now)
                 return
-            key = RecordKey(name, voted.rtype)
-            defs[key] = RecordDef(key, self.rng.choice(observed))
-            self._seed_history(key, observed, now)
-            self._schedule_key(key, answer.ttl, now)
-            return
-
-    def _would_cycle(
-        self, defs: dict[RecordKey, RecordDef], start: DomainName, back_to: DomainName
-    ) -> bool:
-        name = start
-        for _ in range(CNAME_CHAIN_LIMIT):
-            ck = RecordKey(name, RecordType.CNAME)
-            if ck not in defs:
-                return False
-            name = defs[ck].cname_target
-            if name == back_to:
-                return True
-        return True
+            if any(RecordKey(stop, t) in defs for t in (RecordType.A, RecordType.AAAA)):
+                # a listed record's name turned alias: its own requery
+                # drops it, and a later pass links this chain
+                return
+            passed, end = chain(defs, RecordKey(answer.cname, voted.rtype))
+            if end == stop or end is not None and len(passed) == CNAME_CHAIN_LIMIT:
+                return  # the link would close a loop or pass the limit
+            ck = RecordKey(stop, RecordType.CNAME)
+            defs[ck] = RecordDef(ck, RecordAnswer.cname(answer.cname).data)
+            self._schedule_key(ck, answer.ttl, now)
 
     def _commit_membership(self, defs: _Draft, now: float) -> list[UpdateMessage]:
         """Diff the touched records against the list, then apply and return

@@ -218,22 +218,12 @@ class PathPlanBuilder:
     hop is added like any other, with node_index None.
     """
 
-    def __init__(
-        self,
-        t_timestamp: int,
-        rng: Random | None = None,
-        entry_hash: bytes | None = None,
-    ):
+    def __init__(self, t_timestamp: int, rng: Random | None = None):
         self.t_timestamp = t_timestamp
         self._accum = Key(random_scalar(rng))
         self._element = encode_element(mult_base(self._accum))
-        if entry_hash is None:
-            entry_hash = rng.randbytes(NEXT_HOP_HASH_LEN) if rng else secrets.token_bytes(
-                NEXT_HOP_HASH_LEN
-            )
-        if len(entry_hash) != NEXT_HOP_HASH_LEN:
-            raise ValueError("entry hash must be 16 bytes")
-        self._hash = entry_hash
+        draw = rng.randbytes if rng else secrets.token_bytes
+        self._hash = draw(NEXT_HOP_HASH_LEN)
         self._hops: list[PlanHop] = []
 
     @property
@@ -268,7 +258,6 @@ def build_path_plan(
     terminal_pub: bytes,
     t_timestamp: int,
     rng: Random | None = None,
-    entry_hash: bytes | None = None,
 ) -> SenderPathPlan:
     """Plan a fixed path: relays in the given order, then the terminal hop.
 
@@ -276,7 +265,7 @@ def build_path_plan(
     PathPlanBuilder themselves; this wrapper exists for tests and for
     paths whose node sequence is already decided.
     """
-    builder = PathPlanBuilder(t_timestamp, rng=rng, entry_hash=entry_hash)
+    builder = PathPlanBuilder(t_timestamp, rng=rng)
     for node_index, pub in relay_keys:
         builder.add_hop(node_index, pub)
     builder.add_hop(None, terminal_pub)

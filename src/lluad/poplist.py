@@ -13,7 +13,8 @@ active answer in its RecordDef.  Three rules hold for every list: a CNAME
 never shares its name with another record, every CNAME target holds a
 record (so a lookup never leaves the table) and CNAMEs form no cycle.
 `build_list` checks all records; updates copy the table, edit the copy and
-check only the records they touch.
+check only the records they touch.  `chain` is the one CNAME walk: `lookup`
+and the maintainer's chain index both follow it.
 
 The wire format is the label tree followed by the pool.  `wire_nodes`
 walks the tree straight from the table: one node per record name and one
@@ -232,6 +233,31 @@ def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList
     return PopularityList(table, order, generation)
 
 
+def chain(
+    records: Mapping[RecordKey, RecordDef], key: RecordKey
+) -> tuple[list[RecordDef], DomainName | None]:
+    """Follow CNAMEs from `key`'s name to a record of `key`'s type.
+
+    Returns (passed, stop), the records walked through, CNAMEs first.
+    `stop` is None when a record of the type ends the walk.  Otherwise it
+    is where the walk stopped: a name holding neither that record nor a
+    CNAME, or the target reached after `CNAME_CHAIN_LIMIT` CNAMEs."""
+    passed: list[RecordDef] = []
+    name, rtype = key.name, key.rtype
+    while len(passed) < CNAME_CHAIN_LIMIT:
+        found = records.get(key)
+        if found is not None:
+            passed.append(found)
+            return passed, None
+        via = records.get(RecordKey(name, RecordType.CNAME))
+        if via is None:
+            break
+        passed.append(via)
+        name = via.cname_target
+        key = RecordKey(name, rtype)
+    return passed, name
+
+
 def lookup(plist: PopularityList, key: RecordKey) -> tuple[RecordAnswer, ...] | None:
     """Resolve a key, following CNAME indirections inside the list.
 
@@ -242,19 +268,10 @@ def lookup(plist: PopularityList, key: RecordKey) -> tuple[RecordAnswer, ...] | 
     rtype = key.rtype
     if found is not None:
         return (tuple.__new__(RecordAnswer, (rtype, found.answer)),)
-    answers: list[RecordAnswer] = []
-    name = key.name
-    for _ in range(CNAME_CHAIN_LIMIT - 1):  # a chain holds at most the limit
-        via = records.get(RecordKey(name, RecordType.CNAME))
-        if via is None:
-            return None
-        answers.append(tuple.__new__(RecordAnswer, (RecordType.CNAME, via.answer)))
-        name = via.cname_target
-        found = records.get(RecordKey(name, rtype))
-        if found is not None:
-            answers.append(tuple.__new__(RecordAnswer, (rtype, found.answer)))
-            return tuple(answers)
-    return None
+    passed, stop = chain(records, key)
+    if stop is not None:
+        return None
+    return tuple(tuple.__new__(RecordAnswer, (d.key.rtype, d.answer)) for d in passed)
 
 
 def iter_records(plist: PopularityList) -> Iterator[RecordDef]:

@@ -1,7 +1,8 @@
 """The list maintainer as it stood before refreshes became incremental:
 every refresh ranks, ensures, closes and diffs all ranked keys.  Kept
 verbatim as the oracle the incremental `Maintainer` must match step for
-step."""
+step, but for one fix that both carry: `_ensure_chain` puts no CNAME next
+to a listed A or AAAA record whose name turned alias."""
 
 import heapq
 from collections import Counter, OrderedDict, deque
@@ -160,6 +161,8 @@ class OracleMaintainer:
             except UpstreamFailure:
                 return  # score persists; retried next refresh
             if answer.cname is not None:
+                if any(RecordKey(name, t) in defs for t in (RecordType.A, RecordType.AAAA)):
+                    return  # a listed record's name turned alias; its requery drops it
                 if answer.cname in walked or self._would_cycle(defs, answer.cname, name):
                     return
                 defs[ck] = RecordDef(ck, RecordAnswer.cname(answer.cname).data)

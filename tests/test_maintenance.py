@@ -332,6 +332,33 @@ def test_cname_target_swap_updates_closure():
     assert lookup(m.plist, key("old-cdn.example")) is None
 
 
+def test_a_listed_name_that_turns_alias_stops_no_refresh():
+    """A listed AAAA's name becomes an alias and an A vote arrives.  The
+    A chain's CNAME cannot sit next to the stale AAAA, so the refreshes
+    leave the A key open until the AAAA's own requery drops it."""
+    upstream = ScriptedUpstream()
+    aaaa = key("shop.example", RecordType.AAAA)
+    v6 = UpstreamAnswer(ttl=3600, answers=(bytes(15) + b"\x01",))
+    upstream.table[aaaa] = v6
+    m = Maintainer(cfg(), upstream, rng=random.Random(8))
+    m.ingest_votes([aaaa])
+    assert m.run_refresh(0.0)
+    del upstream.table[aaaa]
+    upstream.set_cname("shop.example", "cdn.example")
+    upstream.set_a("cdn.example", "203.0.113.9")
+    upstream.table[key("cdn.example", RecordType.AAAA)] = v6
+    for now in (60.0, 120.0, 180.0):
+        m.ingest_votes([key("shop.example")])
+        assert m.run_refresh(now) == []
+    assert m.run_ttl(3700.0)
+    assert set(m.plist.records) == {
+        key("shop.example", RecordType.CNAME),
+        key("cdn.example"),
+        key("cdn.example", RecordType.AAAA),
+    }
+    assert lookup(m.plist, key("shop.example"))[-1].data == bytes([203, 0, 113, 9])
+
+
 # -- maintainer: LB batching ------------------------------------------------
 
 

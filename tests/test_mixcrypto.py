@@ -213,7 +213,7 @@ def test_builder_pending_hash_tracks_chain():
     rng = random.Random(26)
     priv = random_scalar(rng)
     pub = encode_element(mult_base(priv))
-    builder = PathPlanBuilder(T, rng=rng, entry_hash=bytes(16))
+    builder = PathPlanBuilder(T, rng=rng)
     h0 = builder.pending_hash
     builder.add_hop(0, pub)
     plan_hop = builder._hops[0]
@@ -221,8 +221,6 @@ def test_builder_pending_hash_tracks_chain():
 
 
 def test_builder_rejects_empty_and_bad_hash():
-    with pytest.raises(ValueError):
-        PathPlanBuilder(T, entry_hash=b"short")
     with pytest.raises(ValueError):
         PathPlanBuilder(T, rng=random.Random(1)).finish()
 
