@@ -398,8 +398,12 @@ class LluadClient:
         elif ctx.can_run:
             with self._lock:
                 vote_keys = self.buffer.drain()
-            priority = self._pending_fragments[: self.quota]
-            del self._pending_fragments[: len(priority)]
+            # whole fragment groups in order while they fit (size: byte 3's low nibble)
+            pending, priority = self._pending_fragments, []
+            while pending and len(priority) + (pending[0][3] & 0x0F) <= self.quota:
+                size = pending[0][3] & 0x0F
+                priority += pending[:size]
+                del pending[:size]
             self._sent_votes = client_submit(
                 vote_keys,
                 ctx,
@@ -457,10 +461,12 @@ class LluadClient:
             self._cv.notify_all()
 
     def _on_hash_request(self, digests: tuple[bytes, ...]) -> None:
-        for digest in digests:
+        for digest in dict.fromkeys(digests):
             key = self._hashed_sent.get(digest)
             if key is not None:
-                self._pending_fragments.extend(fragment_payloads(key, self._rng))
+                pieces = fragment_payloads(key, self._rng)
+                if len(pieces) <= self.quota:  # a larger group never arrives whole
+                    self._pending_fragments.extend(pieces)
 
     # -- local resolution ------------------------------------------------------
 

@@ -15,10 +15,12 @@ answer its type and rdata), because every list path builds, hashes or
 compares them, and tuples do that in C.  Their hashes equal those of
 the frozen dataclasses they replace, `hash((labels,))`,
 `hash((name, rtype))` and `hash((rtype, data))`, so set orders, rng
-draws and every output stay the same under any PYTHONHASHSEED.  Being
-tuples, they compare equal to the plain tuple of their fields:
-`RecordKey(n, t) == (n, t)`.  Keys order by `sort_key` under all four
-comparison operators; names have no order.
+draws and every output stay the same under any PYTHONHASHSEED.
+`poplist.RecordDef` is a fourth such tuple; its hash, that of its four
+fields, need not match its old dataclass's, since no set or dict is keyed
+by a record.  Being tuples, they compare equal to the plain tuple of
+their fields: `RecordKey(n, t) == (n, t)`.  Keys order by `sort_key`
+under all four comparison operators; names and records have no order.
 
 A name's rules live in one bytes-level check, `_is_name`, which
 `DomainName` applies to its dot-joined labels.  A query name is

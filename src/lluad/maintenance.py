@@ -445,7 +445,7 @@ class Maintainer:
             if end == stop or end is not None and len(passed) == CNAME_CHAIN_LIMIT:
                 return  # the link would close a loop or pass the limit
             ck = RecordKey(stop, RecordType.CNAME)
-            defs[ck] = RecordDef(ck, RecordAnswer.cname(answer.cname).data)
+            defs[ck] = RecordDef(ck, answer.cname.wire)
             self._schedule_key(ck, answer.ttl, now)
 
     def _commit_membership(self, defs: _Draft, now: float) -> list[UpdateMessage]:
@@ -535,7 +535,7 @@ class Maintainer:
                 if answer.cname is None:
                     del defs[key]
                 elif answer.cname != defs[key].cname_target:
-                    defs[key] = RecordDef(key, RecordAnswer.cname(answer.cname).data)
+                    defs[key] = RecordDef(key, answer.cname.wire)
                 else:
                     continue
                 reshaped |= self._users(key)
@@ -567,13 +567,11 @@ class Maintainer:
         current = defs[key]
         self._note_change(key, observed, now)
         if current.load_balanced:
-            grown = _canonical_answers(current.pool + observed)
-            changed = False
-            if grown != current.pool:
+            changed = not set(observed).issubset(current.pool)
+            if changed:
                 # pool extension keeps the active answer; reindexing is the
                 # client's job when it applies the upsert
-                defs[key] = RecordDef(key, current.answer, grown)
-                changed = True
+                defs[key] = RecordDef(key, current.answer, current.pool + observed)
             selected = self.rng.choice(observed)
             self._queue_rotation(key, defs[key], selected)
             return changed
@@ -581,8 +579,7 @@ class Maintainer:
             pool = {current.answer} | set(observed)
             for _, seen in self._change_history.get(key, ()):
                 pool |= seen
-            pooled = RecordDef(key, current.answer, _canonical_answers(pool))
-            defs[key] = pooled
+            defs[key] = pooled = RecordDef(key, current.answer, pool)
             self._queue_rotation(key, pooled, self.rng.choice(observed))
             return True
         selected = self.rng.choice(observed)

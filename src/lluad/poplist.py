@@ -8,13 +8,15 @@ A list is an immutable value holding three things:
                     position is its pool entry index in pointer updates
     generation      advanced by one per update message and per pointer change
 
-A load-balanced record keeps its pool (sorted and deduplicated) and its
-active answer in its RecordDef.  Three rules hold for every list: a CNAME
-never shares its name with another record, every CNAME target holds a
-record (so a lookup never leaves the table) and CNAMEs form no cycle.
-`build_list` checks all records; updates copy the table, edit the copy and
-check only the records they touch.  `chain` is the one CNAME walk: `lookup`
-and the maintainer's chain index both follow it.
+A record checks and canonicalizes itself when built: a `RecordDef`'s
+pool is sorted and deduplicated, and a CNAME's answer is its target's
+lowercase uncompressed wire form.  `_replace` is the unchecked copy, which
+pool rotations use.  Three rules hold for every list: a CNAME never shares
+its name with another record, every CNAME target holds a record (so a
+lookup never leaves the table) and CNAMEs form no cycle.  `build_list`
+checks all records; updates copy the table, edit the copy and check only
+the records they touch.  `chain` is the one CNAME walk: `lookup` and the
+maintainer's chain index both follow it.
 
 The wire format is the label tree followed by the pool.  `wire_nodes`
 walks the tree straight from the table: one node per record name and one
@@ -49,9 +51,10 @@ from __future__ import annotations
 
 import threading
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .dnsmsg import MAX_NAME_TEXT_LEN, DomainName, RecordAnswer, RecordKey, RecordType
 
@@ -98,36 +101,46 @@ class LoadBalancingPool:
     groups: tuple[PoolGroup, ...]
 
 
-@dataclass(frozen=True)
-class RecordDef:
-    """Source material for one record.
+class RecordDef(namedtuple("RecordDef", "key answer pool cname_target")):
+    """One record, checked and canonical once built: a nonempty `pool`
+    (A/AAAA only) is sorted, deduplicated and holds the active `answer`;
+    a CNAME's answer is its target's lowercase wire form, `cname_target`
+    its name (None for other types).  `_replace` copies without the checks
+    (namedtuple's `_make` skips `__new__`), so a rotation costs none.
+    Records have no order.  The hash is the 4-tuple's, not the old
+    dataclass's: no set or dict in lluad, `bench/` or `demos/` is keyed by
+    a record."""
 
-    `answer` is the active answer data (for CNAME records, the wire-encoded
-    target name).  A nonempty `pool` marks the record load-balanced; the
-    active answer must be one of the pool entries.
-    """
+    __slots__ = ()
 
-    key: RecordKey
-    answer: bytes
-    pool: tuple[bytes, ...] = ()
-
-    def __post_init__(self):
-        RecordAnswer(self.key.rtype, self.answer)  # validates length/shape
-        if self.pool:
-            if self.key.rtype not in (RecordType.A, RecordType.AAAA):
+    def __new__(cls, key: RecordKey, answer: bytes, pool: Collection[bytes] = ()):
+        rtype = key.rtype
+        target = None
+        if rtype == RecordType.CNAME:
+            # one parse; a bad target raises as `RecordAnswer` would
+            target = tuple.__new__(RecordAnswer, (rtype, answer)).cname_target
+            answer = target.wire
+        else:
+            RecordAnswer(rtype, answer)  # validates length
+        if pool:
+            if rtype not in (RecordType.A, RecordType.AAAA):
                 raise InvariantViolation("only A/AAAA records can be pooled")
-            if self.answer not in self.pool:
+            if answer not in pool:
                 raise InvariantViolation("active answer missing from pool")
-            for entry in self.pool:
-                RecordAnswer(self.key.rtype, entry)
+            for entry in pool:
+                RecordAnswer(rtype, entry)
+        pool = tuple(sorted(set(pool))) if pool else ()
+        return tuple.__new__(cls, (key, answer, pool, target))
+
+    def __getnewargs__(self):  # pickle and copy: the base would pass four fields
+        return self.key, self.answer, self.pool
+
+    # records have no order; the tuple base would order them by fields
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
 
     @property
     def load_balanced(self) -> bool:
         return bool(self.pool)
-
-    @cached_property
-    def cname_target(self) -> DomainName:
-        return RecordAnswer(RecordType.CNAME, self.answer).cname_target
 
 
 _TREE_LOCK = threading.Lock()
@@ -172,20 +185,6 @@ class PopularityList:
         )
 
 
-def _canonical(d: RecordDef) -> RecordDef:
-    """The form the table holds: sorted, deduplicated pools and CNAME
-    targets in uncompressed lowercase wire form."""
-    if d.pool:
-        pool = tuple(sorted(set(d.pool)))
-        if pool != d.pool:
-            return RecordDef(d.key, d.answer, pool)
-    elif d.key.rtype == RecordType.CNAME:
-        wire = d.cname_target.wire
-        if wire != d.answer:
-            return RecordDef(d.key, wire)
-    return d
-
-
 def _has_records(table: Mapping[RecordKey, RecordDef], name: DomainName) -> bool:
     return any(RecordKey(name, rtype) in table for rtype in RecordType)
 
@@ -227,7 +226,7 @@ def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList
     for d in defs:
         if d.key in table:
             raise InvariantViolation(f"duplicate record {d.key}")
-        table[d.key] = _canonical(d)
+        table[d.key] = d
     _check(table, table.values())
     order = _entry_order(k for k, d in table.items() if d.pool)
     return PopularityList(table, order, generation)
@@ -283,14 +282,6 @@ def record_count(plist: PopularityList) -> int:
     return len(plist.records)
 
 
-def _rotated(d: RecordDef, answer: bytes) -> RecordDef:
-    """`d` with another entry of its pool active.  The pool was checked
-    when `d` was built, so the copy skips `__post_init__`."""
-    out = object.__new__(RecordDef)
-    out.__dict__.update(key=d.key, answer=answer, pool=d.pool)
-    return out
-
-
 def apply_lb_update(
     plist: PopularityList, entries: Iterable[tuple[int, int]]
 ) -> PopularityList:
@@ -309,7 +300,8 @@ def apply_lb_update(
         key = order[entry_index]
         d = table[key]
         pool = d.pool
-        table[key] = _rotated(d, pool[(pool.index(d.answer) + offset) % len(pool)])
+        answer = pool[(pool.index(d.answer) + offset) % len(pool)]
+        table[key] = d._replace(answer=answer)
         applied += 1
     if not applied:
         return plist
@@ -328,14 +320,12 @@ def _retain(
             by_name.setdefault(key.name, []).append(key)
     if not by_name:
         return
-    targets = {
-        d.cname_target for d in table.values() if d.key.rtype == RecordType.CNAME
-    }
+    targets = {d.cname_target for d in table.values()}  # None for the rest
     pending = [name for name in by_name if name in targets]
     while pending:
         for key in by_name.pop(pending.pop(), ()):
             table[key] = removed[key]
-            if key.rtype == RecordType.CNAME and table[key].cname_target in by_name:
+            if table[key].cname_target in by_name:
                 pending.append(table[key].cname_target)
 
 
@@ -358,7 +348,7 @@ def apply_membership_update(
         removed[key] = table.pop(key)
     added: dict[RecordKey, RecordDef] = {}
     for d in additions:
-        table[d.key] = added[d.key] = _canonical(d)
+        table[d.key] = added[d.key] = d
     _retain(table, removed)
     _check(table, added.values())
 

@@ -463,13 +463,19 @@ class LluadServer:
 
     def run_forever(self, t_refresh: float) -> None:
         """Simple scheduler for operator use: rounds and refreshes at
-        every t_refresh boundary, requeries every second."""
+        every t_refresh boundary, requeries every second.  A failed pass is
+        logged by name and exception type, as its message may name a
+        record; the other passes and the next tick run as usual."""
         next_refresh = time.time() + t_refresh
         while not self._stopping:
             time.sleep(1.0)
             now = time.time()
-            self.trigger_ttl(now)
+            passes = [(self.trigger_ttl, now)]
             if now >= next_refresh:
-                self.run_vote_round(int(now))
-                self.trigger_refresh(now)
+                passes += [(self.run_vote_round, int(now)), (self.trigger_refresh, now)]
                 next_refresh = now + t_refresh
+            for run, arg in passes:
+                try:
+                    run(arg)
+                except Exception as exc:
+                    log.error("%s failed: %s", run.__name__, type(exc).__name__)

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dnsmsg import DomainName, RecordAnswer, RecordKey, RecordType
+from .dnsmsg import DomainName, RecordKey, RecordType
 from .maintenance import SimulatedUpstream, UpstreamAnswer, UpstreamFailure
 from .poplist import RecordDef
 
@@ -352,9 +352,7 @@ class SyntheticUniverse:
             if self.kind[rank] == "cname":
                 target = self._cname_target[rank]
                 ckey = RecordKey(self.keys[rank].name, RecordType.CNAME)
-                chosen[ckey] = RecordDef(
-                    ckey, RecordAnswer.cname(self.keys[target].name).data
-                )
+                chosen[ckey] = RecordDef(ckey, self.keys[target].name.wire)
                 self._add_plain_def(chosen, target, now)
             else:
                 self._add_plain_def(chosen, rank, now)

@@ -61,6 +61,7 @@ from lluad.mixnet import (
     RoundContext,
     RoundServer,
     ShufflerNode,
+    fragment_payloads,
     record_digest,
     select_shufflers,
 )
@@ -573,6 +574,33 @@ def test_stop_returns_during_a_stalled_ttl_pass():
         ttl.join()
 
 
+def test_run_forever_logs_a_failed_pass_and_keeps_going(caplog):
+    class Flaky(LluadServer):
+        def __init__(self):  # only what run_forever reads
+            self._stopping = False
+            self.calls = []
+
+        def trigger_ttl(self, now):
+            self.calls.append("trigger_ttl")
+            if len(self.calls) == 1:
+                raise RuntimeError("listed.example A is broken")
+            raise KeyboardInterrupt
+
+        def run_vote_round(self, round_index):
+            self.calls.append("run_vote_round")
+
+        def trigger_refresh(self, now):
+            self.calls.append("trigger_refresh")
+
+    server = Flaky()
+    with caplog.at_level(logging.ERROR, logger="lluad.server"):
+        with pytest.raises(KeyboardInterrupt):
+            server.run_forever(0.0)
+    assert server.calls == ["trigger_ttl", "run_vote_round", "trigger_refresh", "trigger_ttl"]
+    assert [r.getMessage() for r in caplog.records] == ["trigger_ttl failed: RuntimeError"]
+    assert caplog.records[0].levelno == logging.ERROR
+
+
 # -- rounds over sockets -------------------------------------------------------
 
 
@@ -972,6 +1000,37 @@ def test_hash_request_then_fragments_teach_the_server(world_factory):
     for client in world.clients.values():
         assert client.wait_for_rounds(2)
         assert client.last_outcomes == [AckOutcome.VERIFIED] * world.quota
+
+
+def test_fragment_groups_are_never_split_across_rounds(world_factory):
+    world = world_factory(n_shufflers=4, n_plain=1, n_shuffle=2, quota=4)
+    keys = [
+        akey("a-rather-long-service-name.subdomain.partition.example.com"),
+        akey("another-long-service-name.subdomain.partition.example.com"),
+    ]
+    assert [len(fragment_payloads(k, Random(0))) for k in keys] == [3, 3]
+    voter = world.clients["cli0"]
+    with voter._lock:
+        for k in keys:
+            voter.buffer.offer(k)
+
+    first = world.server.run_vote_round(500)
+    assert {record_digest(k) for k in keys} <= set(first.unknown_digests)
+    for client in world.clients.values():
+        assert client.wait_for_rounds(1)
+    assert wait_until(lambda: len(voter._pending_fragments) == 6)
+
+    # quota 4 holds one 3-piece group a round: the second waits whole
+    second = world.server.run_vote_round(501)
+    for client in world.clients.values():
+        assert client.wait_for_rounds(2)
+    third = world.server.run_vote_round(502)
+    assert len(second.reassembled) == len(third.reassembled) == 1
+    assert set(second.reassembled + third.reassembled) == set(keys)
+    for k in keys:
+        assert world.server.round_server.digest_table[record_digest(k)] == k
+    for client in world.clients.values():
+        assert client.wait_for_rounds(3)
 
 
 # -- local resolution ----------------------------------------------------------

@@ -6,6 +6,9 @@ incremental update must land on the same structure a fresh build of the
 edited record set produces).
 """
 
+import copy
+import operator
+import pickle
 import random
 
 import pytest
@@ -171,6 +174,35 @@ def test_rotated_record_equals_a_checked_one():
     checked = RecordDef(k, a[2], a)
     assert plist.records[k] == checked and hash(plist.records[k]) == hash(checked)
     assert deserialize(serialize(plist)).records[k] == checked
+
+
+def test_a_record_canonicalizes_itself():
+    a = tuple(bytes([10, 0, 0, i]) for i in range(1, 4))
+    k = key("lb.example")
+    messy = RecordDef(k, a[1], (a[2], a[0], a[1], a[2]))
+    assert messy == RecordDef(k, a[1], a) and messy.pool == a
+    shouted = RecordDef(key("www.example", RecordType.CNAME), b"\x03CDN\x07Example\x00")
+    assert shouted == cname("www.example", "cdn.example")
+    assert shouted.answer == DomainName.from_text("cdn.example").wire
+    assert shouted.cname_target == DomainName.from_text("cdn.example")
+    assert plain("site.example").cname_target is None
+
+
+def test_records_copy_hash_and_refuse_order_like_values():
+    a = tuple(bytes([10, 0, 0, i]) for i in range(1, 4))
+    k = key("lb.example")
+    records = [RecordDef(k, a[0], a), cname("www.example", "lb.example"), plain("x.example")]
+    for d in records:
+        for copied in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert copied == d and type(copied) is RecordDef
+        assert hash(d) == hash(tuple(d))
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(records[0], records[1])
+    with pytest.raises(TypeError):
+        sorted(records)
+    rotated = records[0]._replace(answer=a[2])
+    assert rotated == RecordDef(k, a[2], a) and hash(rotated) == hash(RecordDef(k, a[2], a))
 
 
 def test_lb_offsets_compose_additively():
