@@ -61,6 +61,7 @@ from .dnsmsg import MAX_NAME_TEXT_LEN, DomainName, RecordAnswer, RecordKey, Reco
 MAGIC = b"LLPL"
 VERSION = 1
 _FLAG_COMPRESSED = 0x01
+MAX_FRAME_BODY = 1 << 26  # the largest frame body, and the most a body inflates to
 
 CNAME_CHAIN_LIMIT = 16
 # labels in the longest valid name: one-letter labels between dots
@@ -531,8 +532,22 @@ class Reader:
         return self.take(self.take(1)[0])
 
     def inflate(self) -> None:
-        """Replace the unread rest with its zlib decompression."""
-        self.data, self.pos = zlib.decompress(self.data[self.pos :]), 0
+        """Replace the unread rest, one whole zlib stream, with its
+        decompression of at most MAX_FRAME_BODY bytes.  It inflates a MiB
+        at a time, so a stream that inflates past the bound is refused
+        holding little more than the bound."""
+        inflater, pieces, size = zlib.decompressobj(), [], 0
+        rest = self.data[self.pos :]
+        while not inflater.eof:
+            pieces.append(inflater.decompress(rest, 1 << 20))
+            rest, size = inflater.unconsumed_tail, size + len(pieces[-1])
+            if size > MAX_FRAME_BODY:
+                raise FormatError(f"inflates past {MAX_FRAME_BODY} bytes")
+            if not pieces[-1] and not inflater.eof:
+                raise FormatError("truncated zlib stream")
+        if inflater.unused_data:
+            raise FormatError("trailing bytes after the zlib stream")
+        self.data, self.pos = b"".join(pieces), 0
 
     def at_end(self) -> bool:
         return self.pos == len(self.data)

@@ -5,11 +5,12 @@ sockets.
 One owner per piece of state: the caller's control thread owns the
 maintainer and its triggers, so maintenance I/O holds no lock a session
 needs; the acceptor thread owns the connection table and starts one
-reader thread per session; `_state_lock` guards the sessions,
-`_published` (the list every later login is sent) and the report
-window.  `_round_lock` runs one round at a time.  Lock order: a
-session's stream `send_lock`, then `_state_lock`; no frame is sent while
-`_state_lock` is held, so no session waits on another's socket.
+reader thread per session, which starts its writer: the one thread that
+sends on the session's socket, fed by an outbox where queuing never
+blocks, so no thread waits on another's socket.  `_state_lock` guards
+the sessions, `_published` (the list every later login is sent) and the
+report window; logins and publishes queue their frames under it.
+`_round_lock` runs one round at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from . import wire
+from . import mixnet, wire
 from .maintenance import Maintainer, MembershipUpdate
 from .mixnet import (
     ReportLog,
@@ -135,9 +136,9 @@ class ClientRegistry:
 
 
 class _Session:
-    """One connection, logged in once `entry` is set.  `at` is the list
-    value the list frames sent so far bring it to, set under the stream's
-    `send_lock`.  `asked` counts the round requests sent and `taken` the
+    """One connection, logged in once `entry` is set.  `outbox` holds the
+    (type, body) frames its writer has yet to send, in order, then None
+    to end it.  `asked` counts the round requests sent and `taken` the
     replies consumed, by the round thread; `received` the replies queued,
     by the session's reader."""
 
@@ -145,7 +146,7 @@ class _Session:
         self.stream = stream
         self.peer = peer
         self.entry: RegistryEntry | None = None
-        self.at = None
+        self.outbox: queue.SimpleQueue = queue.SimpleQueue()
         self.replies: queue.Queue = queue.Queue()
         self.asked = self.received = self.taken = 0
 
@@ -169,6 +170,9 @@ class LluadServer:
         shuffler_cap: int | None = None,
         ssl_context: ssl.SSLContext | None = None,
     ):
+        limit = 8 * mixnet.MAX_AVAILABILITY_LEN
+        if len(registry.shuffler_ids) > limit:
+            raise RegistryError(f"a round start carries at most {limit} shufflers")
         self.registry = registry
         self.maintainer = maintainer
         self.quota = quota
@@ -243,15 +247,19 @@ class LluadServer:
     # -- sessions ----------------------------------------------------------
 
     def _session_loop(self, session: _Session, conn: socket.socket) -> None:
-        try:
-            if isinstance(conn, ssl.SSLSocket):
+        """A session's reader: it starts the writer, and stops it at the end."""
+        if isinstance(conn, ssl.SSLSocket):
+            try:
                 conn.settimeout(TLS_HANDSHAKE_TIMEOUT)
-                try:
-                    conn.do_handshake()
-                except OSError as exc:
-                    log.warning("TLS handshake failed from %s: %s", session.peer, exc)
-                    return
+                conn.do_handshake()
                 conn.settimeout(SEND_TIMEOUT)
+            except OSError as exc:
+                log.warning("TLS handshake failed from %s: %s", session.peer, exc)
+                session.stream.close()
+                return
+        writer = threading.Thread(target=self._write_loop, args=(session,), daemon=True)
+        writer.start()
+        try:
             self._serve_session(session)
         except (wire.ConnectionClosed, OSError):
             pass
@@ -259,7 +267,25 @@ class LluadServer:
             log.warning("protocol violation from %s: %s", session.peer, exc)
             self._send_error(session, ERR_PROTOCOL, str(exc))
         finally:
-            self._drop_session(session)
+            with self._state_lock:
+                if session.entry and self._sessions.get(session.entry.client_id) is session:
+                    del self._sessions[session.entry.client_id]
+            session.outbox.put(None)  # the writer sends what is queued, then ends
+            writer.join()
+
+    def _write_loop(self, session: _Session) -> None:
+        """Send the queued frames in order, a queued list as a snapshot, and
+        then close the stream.  A failed send, as one without progress for
+        SEND_TIMEOUT, ends it early, and the close ends the reader too."""
+        try:
+            for msg_type, body in iter(session.outbox.get, None):
+                if msg_type == wire.MSG_LIST_SNAPSHOT:
+                    body = wire.encode_list_snapshot(body)
+                session.stream.send(msg_type, body)
+        except OSError:
+            pass
+        finally:
+            session.stream.close()
 
     def _serve_session(self, session: _Session) -> None:
         while True:
@@ -296,58 +322,40 @@ class LluadServer:
         except (wire.FrameError, AuthFailure) as exc:
             self._send_error(session, ERR_AUTH, str(exc))
             return False
-        # a publish sends its frames after the snapshot, or skips this session
-        with session.stream.send_lock:
-            with self._state_lock:
-                session.at = self._published
-                session.entry = entry
-                old = self._sessions.get(entry.client_id, session)
-                if old is not session:
-                    old.stream.close()
-                self._sessions[entry.client_id] = session
-            session.stream.send(
-                wire.MSG_LIST_SNAPSHOT, wire.encode_list_snapshot(session.at)
-            )
+        # every later publish queues its frames after this snapshot
+        with self._state_lock:
+            session.entry = entry
+            old = self._sessions.get(entry.client_id, session)
+            self._sessions[entry.client_id] = session
+            self._send(session, wire.MSG_LIST_SNAPSHOT, self._published)
+        if old is not session:
+            old.stream.close()
         return True
 
-    def _send(self, session: _Session, msg_type: int, body: bytes) -> bool:
-        """Send one frame; a session that cannot take it is dropped."""
-        try:
-            session.stream.send(msg_type, body)
-        except OSError:
-            self._drop_session(session)
-            return False
-        return True
+    def _send(self, session: _Session, msg_type: int, body) -> None:
+        """Queue one frame for the session's writer; this never blocks."""
+        session.outbox.put((msg_type, body))
 
     def _send_error(self, session: _Session, code: int, message: str) -> None:
         self._send(session, wire.MSG_ERROR, wire.encode_error(code, message))
 
-    def _drop_session(self, session: _Session) -> None:
-        session.stream.close()
-        with self._state_lock:
-            if session.entry and self._sessions.get(session.entry.client_id) is session:
-                del self._sessions[session.entry.client_id]
-
     def _broadcast(self, msg_type: int, body: bytes) -> None:
         with self._state_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            self._send(session, msg_type, body)
+            for session in self._sessions.values():
+                self._send(session, msg_type, body)
 
     def _ask(self, requests: dict, msg_type: int, missed: str) -> dict:
         """Send each (session, body) of `requests` as a `msg_type` frame, then
-        take the reply to it, by one straggler deadline, from each session
-        that got it: its `asked`-th reply, since a session answers in order.
-        Replies before it are late, and dropped.  `missed` logs each key
-        left without."""
-        asked = {}
-        for key, (session, body) in requests.items():
+        take the reply to it, by one straggler deadline, from each session:
+        its `asked`-th reply, since a session answers in order.  Replies
+        before it are late, and dropped.  `missed` logs each key left
+        without."""
+        for session, body in requests.values():
             session.asked += 1  # before the send, so no reply finds it behind
-            if self._send(session, msg_type, body):
-                asked[key] = session
+            self._send(session, msg_type, body)
         replies = {}
         deadline = time.monotonic() + self.straggler_timeout
-        for key, session in asked.items():
+        for key, (session, _) in requests.items():
             try:
                 while session.taken < session.asked:
                     remaining = max(0.0, deadline - time.monotonic())
@@ -363,8 +371,8 @@ class LluadServer:
     # -- maintenance triggers ------------------------------------------------
 
     def _publish(self, messages) -> int:
-        """Send the maintainer's `messages` to every session that no login
-        has brought to its list yet, then send that list to every later login."""
+        """Queue the maintainer's `messages` to every logged-in session,
+        and make its list the one every later login is sent."""
         frames = []
         for message in messages:
             if isinstance(message, MembershipUpdate):
@@ -375,16 +383,11 @@ class LluadServer:
                 )
             else:
                 frames.append((wire.MSG_LB_UPDATE_BATCH, wire.encode_lb_update(message)))
-        plist = self.maintainer.plist
         with self._state_lock:
-            self._published = plist
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            with session.stream.send_lock:
-                if session.at is not plist:
-                    for frame in frames:
-                        self._send(session, *frame)
-                    session.at = plist
+            self._published = self.maintainer.plist
+            for session in self._sessions.values():
+                for frame in frames:
+                    self._send(session, *frame)
         return len(messages)
 
     def trigger_refresh(self, now: float) -> int:

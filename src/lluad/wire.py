@@ -28,6 +28,21 @@ Every `decode_*` function returns a value or raises `FrameError`, which
 is `poplist.FormatError`: bodies are read with `poplist.Reader`, which
 turns a short read, a bad name or record, bad text and bad zlib data
 alike into that one error.
+
+Every size a peer sets has a bound:
+
+    frame body              MAX_FRAME_BODY (64 MiB)
+    inflated body           MAX_FRAME_BODY; past it, or with bytes after
+                            the zlib stream, a body is refused
+    a session's outbox      in time, not bytes: a writer that sends
+                            nothing for server.SEND_TIMEOUT ends its session
+    replies to no request   dropped by the server
+    misbehavior reports     `quota` per sender and round
+    client._hashed_sent     client.DIGEST_MEMORY_CAP (4 096) digests
+    pending fragments       one group per distinct digest per request, not
+                            yet capped across requests
+    ROUND_START bitmap      mixnet.MAX_AVAILABILITY_LEN bytes; the server
+                            refuses at start a registry with more shufflers
 """
 
 from __future__ import annotations
@@ -41,7 +56,8 @@ from typing import Callable, Iterable, Sequence
 from .dnsmsg import DomainName, RecordKey, RecordType
 from .maintenance import LbUpdate, MembershipUpdate
 from .mixnet import DIGEST_LEN, PACKET_LEN, MisbehaviorReport, MixPacket, RoundContext
-from .poplist import FormatError, PopularityList, Reader, RecordDef, deserialize, serialize
+from .poplist import MAX_FRAME_BODY, FormatError, PopularityList, Reader, RecordDef
+from .poplist import deserialize, serialize
 
 MSG_LIST_REQUEST = 0x01
 MSG_LIST_SNAPSHOT = 0x02
@@ -56,7 +72,6 @@ MSG_ERROR = 0x0A
 MSG_SENDER_ACKS = 0x0B
 
 FRAME_HEADER_LEN = 5  # length field plus type byte
-MAX_FRAME_BODY = 1 << 26
 
 
 FrameError = FormatError
@@ -77,17 +92,16 @@ def encode_frame(msg_type: int, body: bytes) -> bytes:
 class FrameStream:
     """Blocking framed messages over a connected stream socket.  A socket
     timeout fails a send that makes no progress; reads wait through it.
-    Sends from several threads go out one whole frame at a time; a caller
-    that holds `send_lock` across several sends keeps them together."""
+    Sends from several threads go out one whole frame at a time."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.send_lock = threading.RLock()  # close() skips it: it wakes a stalled send
+        self._send_lock = threading.Lock()  # close() skips it: it wakes a stalled send
 
     def send(self, msg_type: int, body: bytes = b"") -> None:
         # in chunks: a TLS write has one deadline for all it is given
         frame = memoryview(encode_frame(msg_type, body))
-        with self.send_lock:
+        with self._send_lock:
             while frame:
                 frame = frame[self._sock.send(frame[:16384]) :]
 

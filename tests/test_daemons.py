@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import NameOID
 
 from lluad import client as client_module
-from lluad import wire
+from lluad import mixnet, wire
 from lluad.cli import main as cli_main
 from lluad.client import (
     AuthRejected,
@@ -70,6 +70,7 @@ from lluad.server import (
     ERR_AUTH,
     ERR_PROTOCOL,
     ERR_ROUND_ABORTED,
+    SEND_TIMEOUT,
     TLS_HANDSHAKE_TIMEOUT,
     ClientRegistry,
     LluadServer,
@@ -240,6 +241,19 @@ def test_registry_rejects_malformed_lines():
     ):
         with pytest.raises(RegistryError):
             ClientRegistry.parse(bad)
+
+
+def test_a_registry_no_round_start_can_carry_is_refused(monkeypatch):
+    monkeypatch.setattr(mixnet, "MAX_AVAILABILITY_LEN", 1)  # a bitmap of 8 shufflers
+    maintainer = Maintainer(MaintenanceConfig(), SimulatedUpstream(None), rng=Random(1))
+
+    def registry(shufflers: int) -> ClientRegistry:
+        lines = (f"s{i} t {bytes([i]).hex() * 32} 1" for i in range(shufflers))
+        return ClientRegistry.parse("\n".join(lines))
+
+    with pytest.raises(RegistryError, match="at most 8 shufflers"):
+        LluadServer(registry(9), maintainer, server_priv=1)
+    LluadServer(registry(8), maintainer, server_priv=1)
 
 
 # -- sessions ----------------------------------------------------------------
@@ -864,7 +878,8 @@ def test_a_stalled_reader_is_dropped_and_the_server_serves_on(tls, tmp_path):
         assert fresh.generation == world.maintainer.generation
         publisher.join(timeout=10.0)
         assert not publisher.is_alive()
-        assert "cli1" not in world.server._sessions
+        # dropped by its own writer, once a send has made no progress
+        assert wait_until(lambda: "cli1" not in world.server._sessions, 2 * SEND_TIMEOUT)
 
         assert world.server.run_vote_round(1700000300) is not None
         assert fresh.wait_for_rounds(1, timeout=10.0)
@@ -887,7 +902,7 @@ def add_pool(world: World) -> None:
     publish_by_hand(world, MembershipUpdate(additions=(record,)))
 
 
-def test_a_login_waits_on_no_other_sessions_stalled_socket(world_factory, monkeypatch):
+def test_a_login_waits_on_no_other_sessions_stalled_socket(world_factory):
     world = world_factory(n_shufflers=0, n_plain=4)
     add_pool(world)
     stalled = []
@@ -900,38 +915,20 @@ def test_a_login_waits_on_no_other_sessions_stalled_socket(world_factory, monkey
         stalled[-1].send(wire.MSG_LIST_REQUEST, wire.encode_list_request(cid, f"tok-{cid}"))
         assert stalled[-1].recv()[0] == wire.MSG_LIST_SNAPSHOT  # and never reads again
     rotation = LbUpdate(((0, 1),) * 40000)  # 200 kB a frame
-    sending: dict = {}  # session -> when its frame's send began
-    send = world.server._send
-
-    def timed(session, msg_type, body):
-        sending[session] = time.monotonic()
-        try:
-            return send(session, msg_type, body)
-        finally:
-            del sending[session]
-
-    monkeypatch.setattr(world.server, "_send", timed)
-
-    def publish():
-        for _ in range(25):
-            publish_by_hand(world, rotation)
-
-    publisher = threading.Thread(target=publish)
-    publisher.start()
     try:
-        # a frame stuck for 0.5 s: the stalled sessions now hold up sends
-        stuck = lambda: any(time.monotonic() - t > 0.5 for t in list(sending.values()))
-        assert wait_until(stuck, timeout=10.0)
+        for _ in range(25):  # far more than the stalled sockets' buffers take
+            started = time.monotonic()
+            publish_by_hand(world, rotation)
+            assert time.monotonic() - started < 1.0
         fresh = world.clients["cli0"]
         started = time.monotonic()
         fresh.reconnect()
         assert time.monotonic() - started < 1.0
+        gone = lambda: not {"cli1", "cli2", "cli3"} & world.server._sessions.keys()
+        assert wait_until(gone, 2 * SEND_TIMEOUT + 1)
     finally:
-        publisher.join(timeout=20.0)
         for stream in stalled:
             stream.close()
-    assert not publisher.is_alive()
-    assert not {"cli1", "cli2", "cli3"} & world.server._sessions.keys()
     assert fresh.wait_for_generation(world.maintainer.generation)
     assert serialize(fresh.plist) == serialize(world.maintainer.plist)
 
@@ -1254,7 +1251,9 @@ def test_undecodable_snapshot_ends_the_session_and_the_stub_keeps_answering(
 
 
 def test_stop_and_close_end_their_threads_and_free_the_daemons():
-    world = World(n_shufflers=0, n_plain=1)
+    before = set(threading.enumerate())
+    world = World(n_shufflers=2, n_plain=1, n_shuffle=1)
+    assert world.server.run_vote_round(1700000400) is not None  # readers and writers
     client = world.clients["cli0"]
     addr = client.start_dns_listener(port=0)
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
@@ -1267,6 +1266,7 @@ def test_stop_and_close_end_their_threads_and_free_the_daemons():
     del world, client
     gc.collect()
     assert not set(threads) & set(threading.enumerate())
+    assert set(threading.enumerate()) <= before
     assert [ref() for ref in refs] == [None, None]
 
 

@@ -3,6 +3,7 @@
 import random
 import socket
 import threading
+import tracemalloc
 import zlib
 
 import pytest
@@ -138,6 +139,39 @@ def test_membership_update_rejects_garbage():
 
     with pytest.raises(wire.FrameError):
         wire.decode_membership_update(zlib.compress(b"\x00\x01"))
+
+
+def test_an_inflate_bomb_is_refused_before_it_fills_memory():
+    packer = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    # about 100 kB that inflates to 100 MiB, past the 64 MiB bound; were it
+    # inflated whole, its first key would fail to decode
+    body = packer.compress(b"\xff\xff")
+    body += b"".join(packer.compress(zeros) for _ in range(100)) + packer.flush()
+    assert len(body) < 120_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(wire.FrameError, match="inflates past"):
+            wire.decode_membership_update(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80_000_000
+
+
+@pytest.mark.parametrize("kind", ["snapshot", "membership"])
+def test_a_zlib_stream_must_end_where_the_body_does(kind):
+    if kind == "snapshot":
+        plist = build_list(random_defs(random.Random(6)), generation=7)
+        body, decode = wire.encode_list_snapshot(plist), wire.decode_list_snapshot
+    else:
+        update = MembershipUpdate(removals=(key("gone.example"),))
+        body, decode = wire.encode_membership_update(update), wire.decode_membership_update
+    decode(body)
+    with pytest.raises(wire.FrameError, match="trailing bytes"):
+        decode(body + b"junk")
+    with pytest.raises(wire.FrameError, match="truncated"):
+        decode(body[:-1])
 
 
 def test_round_start_round_trip():
