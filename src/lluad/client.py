@@ -20,7 +20,6 @@ import struct
 import threading
 import time
 import urllib.request
-from collections import OrderedDict
 from random import Random
 from typing import Callable, Mapping
 
@@ -38,18 +37,7 @@ from .dnsmsg import (
     udp_exchange,
 )
 from .maintenance import apply_update
-from .mixnet import (
-    FLAG_HASHED,
-    AckOutcome,
-    MixPacket,
-    PlannedVote,
-    RoundContext,
-    ShufflerNode,
-    client_submit,
-    encode_vote_payload,
-    fragment_payloads,
-    verify_round_acks,
-)
+from .mixnet import AckOutcome, MixPacket, RoundContext, ShufflerNode, Voter
 from .poplist import (
     FormatError,
     IndexOutOfRange,
@@ -62,7 +50,6 @@ from .poplist import (
 log = logging.getLogger(__name__)
 
 DEFAULT_DNS_PORT = 5353
-DIGEST_MEMORY_CAP = 4096
 
 
 class AuthRejected(Exception):
@@ -200,8 +187,6 @@ class LluadClient:
         self._token = token
         self._server_addr = server_addr
         self.shuffler_pubs = dict(shuffler_pubs)
-        self.server_pub = server_pub
-        self.quota = quota
         self.min_ttl = min_ttl
         self.fallback = fallback
         self._rng = rng or Random()
@@ -213,6 +198,7 @@ class LluadClient:
                 raise ValueError(f"wrong key for shuffler {shuffler_index}")
             self.node = ShufflerNode(shuffler_index, shuffler_priv, rng=self._rng)
         self.buffer = VoteBuffer(voting_rate, self._rng)
+        self.voter = Voter(quota, self.shuffler_pubs, server_pub, self._rng)
         self._lock = threading.Lock()  # the vote buffer, and each list swap
         self._plist: PopularityList | None = None  # replaced only by _install
         self._stream: wire.FrameStream | None = None
@@ -223,9 +209,6 @@ class LluadClient:
         self._cv = threading.Condition(self._lock)
         # round state, owned by the reader thread
         self._round_ctx: RoundContext | None = None
-        self._sent_votes: list[PlannedVote] = []
-        self._hashed_sent: OrderedDict[bytes, RecordKey] = OrderedDict()
-        self._pending_fragments: list[bytes] = []
         # observable outcomes
         self.rounds_participated = 0
         self.last_outcomes: list[AckOutcome] = []
@@ -360,7 +343,7 @@ class LluadClient:
         elif msg_type == wire.MSG_SENDER_ACKS:
             self._on_sender_acks(wire.decode_packet_batch(body))
         elif msg_type == wire.MSG_HASH_REQUEST:
-            self._on_hash_request(wire.decode_hash_request(body))
+            self.voter.spell_out(wire.decode_hash_request(body))
         elif msg_type == wire.MSG_ERROR:
             code, message = wire.decode_error(body)
             self.errors.append((code, message))
@@ -392,45 +375,14 @@ class LluadClient:
     def _on_round_start(self, ctx: RoundContext) -> None:
         assert self._stream is not None
         self._round_ctx = ctx
-        self._sent_votes = []
+        vote_keys = None
         if any(j not in self.shuffler_pubs for j in ctx.online_indexes):
             log.warning("client %s: unknown shuffler online, skipping", self.client_id)
         elif ctx.can_run:
             with self._lock:
                 vote_keys = self.buffer.drain()
-            # whole fragment groups in order while they fit (size: byte 3's low nibble)
-            pending, priority = self._pending_fragments, []
-            while pending and len(priority) + (pending[0][3] & 0x0F) <= self.quota:
-                size = pending[0][3] & 0x0F
-                priority += pending[:size]
-                del pending[:size]
-            self._sent_votes = client_submit(
-                vote_keys,
-                ctx,
-                self.quota,
-                self.shuffler_pubs,
-                self.server_pub,
-                self._rng,
-                priority_payloads=priority,
-            )
-            self._remember_hashed(vote_keys, self._sent_votes)
-        self._stream.send(
-            wire.MSG_VOTE_BATCH,
-            wire.encode_packet_batch([vote.packet for vote in self._sent_votes]),
-        )
-
-    def _remember_hashed(
-        self, vote_keys: list[RecordKey], planned: list[PlannedVote]
-    ) -> None:
-        # payload encoding is deterministic, so sent payloads map back to
-        # the keys they were derived from
-        by_payload = {encode_vote_payload(k): k for k in vote_keys}
-        for vote in planned:
-            key = by_payload.get(vote.payload)
-            if key is not None and vote.payload[0] & FLAG_HASHED:
-                self._hashed_sent[vote.payload[1 : 1 + 29]] = key
-        while len(self._hashed_sent) > DIGEST_MEMORY_CAP:
-            self._hashed_sent.popitem(last=False)
+        packets = self.voter.submit(vote_keys, ctx)
+        self._stream.send(wire.MSG_VOTE_BATCH, wire.encode_packet_batch(packets))
 
     def _on_relay(self, msg_type: int, batch: list[MixPacket]) -> None:
         """Relay one vote or ack hop, as the frame type says; reply in kind."""
@@ -446,7 +398,7 @@ class LluadClient:
 
     def _on_sender_acks(self, batch: list[MixPacket]) -> None:
         assert self._stream is not None
-        outcomes, reports = verify_round_acks(self._sent_votes, batch)
+        outcomes, reports = self.voter.check_acks(batch)
         self.last_outcomes = outcomes
         for outcome in outcomes:
             self.ack_counts[outcome] += 1
@@ -455,18 +407,9 @@ class LluadClient:
                 wire.MSG_MISBEHAVIOR_REPORT, wire.encode_misbehavior_report(report)
             )
             self.reports_sent += 1
-        self._sent_votes = []
         with self._cv:
             self.rounds_participated += 1
             self._cv.notify_all()
-
-    def _on_hash_request(self, digests: tuple[bytes, ...]) -> None:
-        for digest in dict.fromkeys(digests):
-            key = self._hashed_sent.get(digest)
-            if key is not None:
-                pieces = fragment_payloads(key, self._rng)
-                if len(pieces) <= self.quota:  # a larger group never arrives whole
-                    self._pending_fragments.extend(pieces)
 
     # -- local resolution ------------------------------------------------------
 

@@ -12,7 +12,7 @@ a cover ack, so dropping one ack cannot reveal which sender was hit.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, defaultdict, deque
+from collections import Counter, OrderedDict, defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -46,6 +46,7 @@ MAX_DIRECT_NAME_LEN = _BODY_LEN - 2  # dotted form, alongside the 2-byte type
 DIGEST_LEN = 29
 FRAGMENT_CHUNK_LEN = 27
 MAX_FRAGMENTS = 15  # index and total each fit in a nibble
+DIGEST_MEMORY_CAP = 4096  # a Voter's remembered digests, and its queued groups
 
 DEFAULT_N_SHUFFLE = 10
 # what a ROUND_START frame can carry: a one-byte hop count and a
@@ -393,6 +394,61 @@ def verify_round_acks(
         if outcome is not AckOutcome.VERIFIED
     ]
     return outcomes, reports
+
+
+class Voter:
+    """The sender side of a client's rounds, with no I/O: it plans each
+    round's packets, remembers its hashed votes, spells each one out
+    once when the server asks for it, and checks its own packets' acks."""
+
+    def __init__(
+        self, quota: int, shuffler_pubs: Mapping[int, bytes], server_pub: bytes, rng: Random
+    ):
+        self.quota = quota
+        self.shuffler_pubs = shuffler_pubs
+        self.server_pub = server_pub
+        self._rng = rng
+        self.sent: list[PlannedVote] = []  # this round's, until its acks are checked
+        self._hashed_sent: OrderedDict[bytes, RecordKey] = OrderedDict()
+        self.pending: list[list[bytes]] = []  # whole fragment groups, oldest first
+
+    def submit(self, vote_keys: Sequence[RecordKey] | None, ctx: RoundContext):
+        """This round's packets: whole pending groups while they fit, then
+        the votes.  None sits the round out: no packets, no acks due."""
+        self.sent = []
+        if vote_keys is None:
+            return []
+        priority: list[bytes] = []
+        while self.pending and len(priority) + len(self.pending[0]) <= self.quota:
+            priority += self.pending.pop(0)
+        self.sent = client_submit(
+            vote_keys, ctx, self.quota, self.shuffler_pubs, self.server_pub, self._rng, priority
+        )
+        by_payload = {encode_vote_payload(k): k for k in vote_keys}  # deterministic
+        for vote in self.sent:  # only a vote is hashed, never a fragment or dummy
+            if vote.payload[0] == FLAG_HASHED:
+                self._hashed_sent[vote.payload[1 : 1 + DIGEST_LEN]] = by_payload[vote.payload]
+        while len(self._hashed_sent) > DIGEST_MEMORY_CAP:
+            self._hashed_sent.popitem(last=False)
+        return [vote.packet for vote in self.sent]
+
+    def check_acks(self, acks: Iterable[MixPacket]):
+        """verify_round_acks on this round's packets, then forget them."""
+        outcomes = verify_round_acks(self.sent, acks)
+        self.sent = []
+        return outcomes
+
+    def spell_out(self, digests: Iterable[bytes]) -> None:
+        """Queue the fragment group of each remembered digest named, up to
+        DIGEST_MEMORY_CAP groups; past the cap a digest stays remembered."""
+        for digest in digests:
+            if len(self.pending) >= DIGEST_MEMORY_CAP:
+                return
+            key = self._hashed_sent.pop(digest, None)
+            if key is not None:
+                pieces = fragment_payloads(key, self._rng)
+                if len(pieces) <= self.quota:  # a larger group never arrives whole
+                    self.pending.append(pieces)
 
 
 class ReportLog:

@@ -38,9 +38,8 @@ Every size a peer sets has a bound:
                             nothing for server.SEND_TIMEOUT ends its session
     replies to no request   dropped by the server
     misbehavior reports     `quota` per sender and round
-    client._hashed_sent     client.DIGEST_MEMORY_CAP (4 096) digests
-    pending fragments       one group per distinct digest per request, not
-                            yet capped across requests
+    a Voter's hashed votes  mixnet.DIGEST_MEMORY_CAP (4 096) digests
+    pending fragments       mixnet.DIGEST_MEMORY_CAP (4 096) groups
     ROUND_START bitmap      mixnet.MAX_AVAILABILITY_LEN bytes; the server
                             refuses at start a registry with more shufflers
 """
@@ -179,17 +178,19 @@ def _enc_blocks(*lists: tuple[Sequence, Callable]) -> bytes:
 
 
 def _read_blocks(r: Reader, *read_items: Callable[[Reader], object]) -> list[list]:
-    """Read blocks to the end of the body: one list per item reader."""
+    """Read blocks to the end of the body: one list per item reader.  A
+    block follows only one with a full run, so there are no more blocks
+    than items, whatever the body's length."""
     lists: list[list] = [[] for _ in read_items]
     counts = []
-    while not counts or not r.at_end():
+    while not counts or (_RUN in counts[-1] and not r.at_end()):
         row = []
         for items, read in zip(lists, read_items):
             count = r.u16()
             items.extend(read(r) for _ in range(count))
             row.append(count)
         counts.append(tuple(row))
-    if counts != _block_counts(*map(len, lists)):
+    if counts != _block_counts(*map(len, lists)) or not r.at_end():
         raise FrameError("item counts not split into runs as the encoder does")
     return lists
 

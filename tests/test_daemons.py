@@ -988,7 +988,7 @@ def test_hash_request_then_fragments_teach_the_server(world_factory):
     assert first.tally[long_key] == 0
     for client in world.clients.values():
         assert client.wait_for_rounds(1)
-    assert wait_until(lambda: len(voter._pending_fragments) == 3)
+    assert wait_until(lambda: sum(map(len, voter.voter.pending)) == 3)
 
     second = world.server.run_vote_round(501)
     assert second.reassembled == (long_key,)
@@ -1015,7 +1015,7 @@ def test_fragment_groups_are_never_split_across_rounds(world_factory):
     assert {record_digest(k) for k in keys} <= set(first.unknown_digests)
     for client in world.clients.values():
         assert client.wait_for_rounds(1)
-    assert wait_until(lambda: len(voter._pending_fragments) == 6)
+    assert wait_until(lambda: sum(map(len, voter.voter.pending)) == 6)
 
     # quota 4 holds one 3-piece group a round: the second waits whole
     second = world.server.run_vote_round(501)

@@ -6,8 +6,11 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from lluad import mixnet
 from lluad.curve import mult_base, random_scalar, encode_element
 from lluad.dnsmsg import DomainName, RecordKey, RecordType
 from lluad.mixcrypto import transform_packet
@@ -25,6 +28,7 @@ from lluad.mixnet import (
     RoundContext,
     RoundServer,
     ShufflerNode,
+    Voter,
     availability_bits,
     client_submit,
     decode_payload,
@@ -444,6 +448,85 @@ def test_direct_votes_teach_the_digest_table_nothing():
     expected = Counter({key(f"fresh{i}.example"): 1 for i in range(3)})
     expected[key("shared.example")] = 3
     assert result.tally == expected
+
+
+# -- vote accounting across rounds ----------------------------------------------
+
+# short names vote in the clear; long ones as digests, three fragments each
+SHORT_NAMES = [key(f"s{i}.example") for i in range(3)]
+LONG_NAMES = [key(f"{c}-rather-long-service-name.subdomain.partition.example.com") for c in "defg"]
+D, E = LONG_NAMES[:2]
+VOTING_ROUNDS = 2
+ROUND_LIMIT = 12
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    quota=st.integers(3, 5),
+    hops=st.integers(2, 3),
+    known=st.sets(st.sampled_from(LONG_NAMES)),
+    ballots=st.lists(
+        st.lists(
+            st.lists(st.sampled_from(SHORT_NAMES + LONG_NAMES), unique=True, max_size=5),
+            min_size=VOTING_ROUNDS,
+            max_size=VOTING_ROUNDS,
+        ),
+        min_size=3,
+        max_size=6,
+    ),
+)
+# a digest the server learns from one client's fragments in the round
+# another client sends it hashed is asked for again
+@example(quota=4, hops=2, known=set(), ballots=[[[D, E], []], [[D], []], [[], [D]]])
+def test_every_sent_vote_is_tallied_once(quota, hops, known, ballots):
+    assert all(len(fragment_payloads(k, random.Random(0))) == 3 for k in LONG_NAMES)
+    world = MixWorld(n_shufflers=5, n_shuffle=hops, quota=quota, seed=71)
+    for k in known:
+        world.server.learn_record(k)
+    voters = [
+        Voter(quota, world.pubs, world.server_pub, random.Random(i))
+        for i in range(len(ballots))
+    ]
+    names = {record_digest(k): k for k in LONG_NAMES}
+    sent, tallied = Counter(), Counter()
+    for t in range(ROUND_LIMIT):
+        if t >= VOTING_ROUNDS and not any(v.pending for v in voters):
+            break
+        ctx = RoundContext.for_online(1000 + t, range(5), 5, hops)
+        batches = {}
+        for i, voter in enumerate(voters):
+            batches[i] = voter.submit(ballots[i][t] if t < VOTING_ROUNDS else [], ctx)
+            for vote in voter.sent:
+                decoded = decode_payload(vote.payload)
+                if isinstance(decoded, DirectVote):
+                    sent[decoded.key] += 1
+                elif isinstance(decoded, HashedVote):
+                    sent[names[decoded.digest]] += 1
+        result = world.server.run_round(ctx, batches)
+        tallied += result.tally
+        for i, voter in enumerate(voters):
+            outcomes, _ = voter.check_acks(result.acks[i])
+            assert outcomes == [AckOutcome.VERIFIED] * quota
+        for voter in voters:
+            voter.spell_out(result.unknown_digests)
+    assert not any(v.pending for v in voters)
+    assert tallied == sent
+
+
+def test_pending_groups_stop_at_the_cap(monkeypatch):
+    world = MixWorld(n_shufflers=5, n_shuffle=2, quota=4, seed=72)
+    voter = Voter(4, world.pubs, world.server_pub, random.Random(1))
+    digests = [record_digest(k) for k in LONG_NAMES[:3]]
+    voter.submit(LONG_NAMES[:3], world.ctx)
+    monkeypatch.setattr(mixnet, "DIGEST_MEMORY_CAP", 2)
+    voter.spell_out(digests)
+    assert len(voter.pending) == 2
+    # the request past the cap forgot nothing: once a group has gone
+    # out, asking again queues the third
+    voter.submit([], world.ctx)
+    voter.spell_out(digests)
+    assert len(voter.pending) == 2
+    assert [len(group) for group in voter.pending] == [3, 3]
 
 
 # -- fault injection ---------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 import socket
 import threading
+import time
 import tracemalloc
 import zlib
 
@@ -288,6 +289,22 @@ def test_counts_must_be_split_as_the_encoder_splits_them():
     split = b"\x00\x01" + body[2:7] + b"\x00\x01" + body[7:]
     with pytest.raises(wire.FrameError, match="runs"):
         wire.decode_lb_update(split)
+
+
+@pytest.mark.parametrize(
+    "decode, body",
+    [
+        (wire.decode_packet_batch, bytes(4 << 20)),
+        (wire.decode_membership_update, zlib.compress(bytes(4 << 20))),
+    ],
+    ids=["packet-batch", "inflated-update"],
+)
+def test_a_body_of_empty_blocks_is_refused_at_once(decode, body):
+    # a block follows only a full run, so zeros are not read as blocks
+    start = time.perf_counter()
+    with pytest.raises(wire.FrameError, match="runs"):
+        decode(body)
+    assert time.perf_counter() - start < 0.1
 
 
 # -- decoders meet mutated bytes -----------------------------------------------
