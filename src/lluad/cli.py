@@ -383,14 +383,15 @@ def _answer_text(rtype: RecordType, data: bytes) -> str:
     return f"{len(data)}B 0x{data.hex()}"
 
 
-def _record_text(d: RecordDef, entry_index: dict) -> str:
+def _record_text(d: RecordDef, plist: PopularityList) -> str:
     rtype = d.key.rtype
     if rtype == RecordType.CNAME:
         return f"CNAME -> {d.cname_target}"
     if d.pool:
+        entry = plist.entry_index[d.key]
         return (
-            f"{rtype.name} pool[{entry_index[d.key]}] "
-            f"{len(d.pool)} answers, active #{d.pool.index(d.answer)}"
+            f"{rtype.name} pool[{entry}] "
+            f"{len(d.pool)} answers, active #{plist.active[entry]}"
         )
     return f"{rtype.name} {_answer_text(rtype, d.answer)}"
 
@@ -400,11 +401,10 @@ def _render_list(plist: PopularityList, max_nodes: int, max_groups: int) -> str:
         f"generation {plist.generation}: {record_count(plist)} records, "
         f"{len(plist.pool.groups)} pool groups"
     ]
-    entry_index = {key: i for i, key in enumerate(plist.lb_entry_order)}
     nodes = wire_nodes(plist)
     shown = nodes[: max(max_nodes, 0)]
     for node in shown:
-        records = "; ".join(_record_text(d, entry_index) for d in node.records)
+        records = "; ".join(_record_text(d, plist) for d in node.records)
         suffix = f"  [{records}]" if records else ""
         lines.append("  " * len(node.path) + ".".join(node.labels) + suffix)
     if len(nodes) > len(shown):

@@ -571,7 +571,7 @@ class Maintainer:
             if changed:
                 # pool extension keeps the active answer; reindexing is the
                 # client's job when it applies the upsert
-                defs[key] = RecordDef(key, current.answer, current.pool + observed)
+                defs[key] = RecordDef(key, self.plist.answer(current), current.pool + observed)
             selected = self.rng.choice(observed)
             self._queue_rotation(key, defs[key], selected)
             return changed
@@ -620,7 +620,7 @@ class Maintainer:
         # shifts which valid answer is active, never breaks convergence
         pool = record.pool
         virtual = (
-            pool.index(record.answer) + self._pending_offsets.get(key, 0)
+            pool.index(self.plist.answer(record)) + self._pending_offsets.get(key, 0)
         ) % len(pool)
         delta = (pool.index(selected) - virtual) % len(pool)
         if delta:
@@ -640,7 +640,7 @@ class Maintainer:
             return None
         if not self._pending_offsets:
             return None
-        entry_of = {key: i for i, key in enumerate(self.plist.lb_entry_order)}
+        entry_of = self.plist.entry_index
         entries = []
         for key, delta in self._pending_offsets.items():
             if key not in entry_of:

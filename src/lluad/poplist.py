@@ -1,22 +1,27 @@
 """The client-local popularity list: one record table, and the wire
 format's label tree derived from it on demand.
 
-A list is an immutable value holding three things:
+A list is an immutable value: a membership (the first two fields, and
+what is derived from them once: the entry index, pool sizes, CNAME
+referrer counts and encoded tree), which every list reached from it by
+rotations alone shares, and its own rotation vector.
 
     records         RecordKey -> RecordDef, the only live form of the list
     lb_entry_order  the load-balanced keys in canonical order; a key's
                     position is its pool entry index in pointer updates
+    active          each pool group's active index, in entry order
     generation      advanced by one per update message and per pointer change
 
 A record checks and canonicalizes itself when built: a `RecordDef`'s
 pool is sorted and deduplicated, and a CNAME's answer is its target's
-lowercase uncompressed wire form.  `_replace` is the unchecked copy, which
-pool rotations use.  Three rules hold for every list: a CNAME never shares
-its name with another record, every CNAME target holds a record (so a
-lookup never leaves the table) and CNAMEs form no cycle.  `build_list`
-checks all records; updates copy the table, edit the copy and check only
-the records they touch.  `chain` is the one CNAME walk: `lookup` and the
-maintainer's chain index both follow it.
+lowercase uncompressed wire form.  `records` holds a pooled record with
+no answer: `PopularityList.answer` and `iter_records` read it through
+`active`, and a rotation copies `active` alone.  Three rules hold for every
+list: a CNAME never shares its name with another record, every CNAME
+target holds a record (so a lookup never leaves the table) and CNAMEs
+form no cycle.  `build_list` checks all records; membership updates copy
+the table, edit the copy and check only the records they touch.  `chain`
+is the one CNAME walk: `lookup` and the maintainer's chain index follow it.
 
 The wire format is the label tree followed by the pool.  `wire_nodes`
 walks the tree straight from the table: one node per record name and one
@@ -31,11 +36,10 @@ node, in type-code order:
                   answer rotates across a set of addresses)
     cname         the index path of the target's node
 
-`pool.groups` lists the pool in entry order.  `roots` is the encoded tree
-section, built on first use, by `serialize` or by reading `roots`, once
-per membership: pointer rotations change no slot, so every list reached
-from another by rotations alone shares that bytes object, and a snapshot
-after a rotation encodes only the pool.
+`pool.groups` is a view of the pool in entry order.  `roots` is the
+encoded tree section, built on first use, by `serialize` or by reading
+`roots`, once per membership, so a snapshot after a rotation encodes only
+the pool.
 
 `deserialize` reads the format back through `Reader`, the one
 bounds-checked reader for bytes a peer sends (`wire` reads its frame
@@ -49,8 +53,10 @@ vary.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import zlib
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -106,11 +112,12 @@ class RecordDef(namedtuple("RecordDef", "key answer pool cname_target")):
     """One record, checked and canonical once built: a nonempty `pool`
     (A/AAAA only) is sorted, deduplicated and holds the active `answer`;
     a CNAME's answer is its target's lowercase wire form, `cname_target`
-    its name (None for other types).  `_replace` copies without the checks
-    (namedtuple's `_make` skips `__new__`), so a rotation costs none.
-    Records have no order.  The hash is the 4-tuple's, not the old
-    dataclass's: no set or dict in lluad, `bench/` or `demos/` is keyed by
-    a record."""
+    its name (None for other types).  A list's table stores a pooled record
+    with `answer` None, so a stale read fails loudly: the list's rotation
+    vector holds the active answer.  `_replace` copies without the checks
+    (namedtuple's `_make` skips `__new__`).  Records have no order.  The
+    hash is the 4-tuple's: no set or dict in lluad, `bench/` or `demos/`
+    is keyed by a record."""
 
     __slots__ = ()
 
@@ -147,16 +154,43 @@ class RecordDef(namedtuple("RecordDef", "key answer pool cname_target")):
 _TREE_LOCK = threading.Lock()
 
 
+class _Membership:
+    """What a membership derives from its table and entry order: the entry
+    index (key -> pool entry), the pool sizes, the count of referring
+    CNAMEs per target, and the wire tree once encoded."""
+
+    __slots__ = ("entry_of", "sizes", "referrers", "tree")
+
+    def __init__(self, records, order, referrers, like=None):
+        """`like`, a membership of the same groups in the same order, lends
+        its entry index and pool sizes."""
+        if like is None:
+            self.entry_of = {k: i for i, k in enumerate(order)}
+            self.sizes = array("I", (len(records[k].pool) for k in order))
+        else:
+            self.entry_of, self.sizes = like.entry_of, like.sizes
+        self.referrers, self.tree = referrers, None
+
+
 @dataclass(frozen=True)
 class PopularityList:
-    """Treat `records` as read-only: list values share it with no copy."""
+    """Equal lists serialize alike.  Treat `records` and `active` as
+    read-only: list values share them with no copy."""
 
     records: Mapping[RecordKey, RecordDef]
     lb_entry_order: tuple[RecordKey, ...]
-    generation: int = 0
-    # (tree section, pool node references) of this membership, once
-    # encoded; rotations share it
-    _tree: list = field(default_factory=lambda: [None], compare=False, repr=False)
+    active: array  # each pool group's active index, in entry order
+    generation: int
+    _members: _Membership = field(compare=False, repr=False)  # rotations share it
+
+    @property
+    def entry_index(self) -> Mapping[RecordKey, int]:
+        return self._members.entry_of
+
+    def answer(self, d: RecordDef) -> bytes:
+        """The active answer of `d`, a record of this list or a full one
+        (no answer is empty, so only a stored pooled record reads `active`)."""
+        return d.answer or d.pool[self.active[self._members.entry_of[d.key]]]
 
     @property
     def roots(self) -> bytes:
@@ -165,24 +199,23 @@ class PopularityList:
         return self._wire_tree()[0]
 
     def _wire_tree(self) -> tuple[bytes, tuple[bytes, ...]]:
+        members = self._members
         with _TREE_LOCK:
-            if self._tree[0] is None:
-                self._tree[0] = _encode_tree(self)
-            return self._tree[0]
+            if members.tree is None:
+                members.tree = _encode_tree(self)
+            return members.tree
 
     @cached_property
     def pool(self) -> LoadBalancingPool:
-        groups = []
-        for key in self.lb_entry_order:
-            d = self.records[key]
-            groups.append(PoolGroup(key, d.pool, d.pool.index(d.answer)))
-        return LoadBalancingPool(tuple(groups))
+        records, order = self.records, self.lb_entry_order
+        return LoadBalancingPool(
+            tuple(PoolGroup(k, records[k].pool, i) for k, i in zip(order, self.active))
+        )
 
     def same_structure(self, other: "PopularityList") -> bool:
         """Equality modulo the generation counter."""
-        return (
-            self.records == other.records
-            and self.lb_entry_order == other.lb_entry_order
+        return (self.records, self.lb_entry_order, self.active) == (
+            other.records, other.lb_entry_order, other.active
         )
 
 
@@ -221,6 +254,19 @@ def _entry_order(keys: Iterable[RecordKey]) -> tuple[RecordKey, ...]:
     return tuple(sorted(keys, key=RecordKey.sort_key))
 
 
+def _refer(referrers: dict, records: Iterable[RecordDef | None], step: int) -> dict:
+    """Count each CNAME in `records` `step` more times as a referrer of its
+    target; a target that no CNAME names leaves `referrers`."""
+    for d in records:
+        if d is not None and d.cname_target is not None:
+            count = referrers.get(d.cname_target, 0) + step
+            if count:
+                referrers[d.cname_target] = count
+            else:
+                del referrers[d.cname_target]
+    return referrers
+
+
 def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList:
     """Canonical constructor; the same records always build the same list."""
     table: dict[RecordKey, RecordDef] = {}
@@ -230,7 +276,11 @@ def build_list(defs: Iterable[RecordDef], generation: int = 0) -> PopularityList
         table[d.key] = d
     _check(table, table.values())
     order = _entry_order(k for k, d in table.items() if d.pool)
-    return PopularityList(table, order, generation)
+    active = array("I", (table[k].pool.index(table[k].answer) for k in order))
+    for k in order:
+        table[k] = table[k]._replace(answer=None)
+    members = _Membership(table, order, _refer({}, table.values(), 1))
+    return PopularityList(table, order, active, generation, members)
 
 
 def chain(
@@ -265,18 +315,19 @@ def lookup(plist: PopularityList, key: RecordKey) -> tuple[RecordAnswer, ...] | 
     """
     records = plist.records
     found = records.get(key)
-    rtype = key.rtype
     if found is not None:
-        return (tuple.__new__(RecordAnswer, (rtype, found.answer)),)
+        answer = found.answer or plist.answer(found)  # a pooled one has None
+        return (tuple.__new__(RecordAnswer, (key.rtype, answer)),)
     passed, stop = chain(records, key)
     if stop is not None:
         return None
-    return tuple(tuple.__new__(RecordAnswer, (d.key.rtype, d.answer)) for d in passed)
+    return tuple(tuple.__new__(RecordAnswer, (d.key.rtype, plist.answer(d))) for d in passed)
 
 
 def iter_records(plist: PopularityList) -> Iterator[RecordDef]:
-    """The record definitions the list holds."""
-    return iter(plist.records.values())
+    """The record definitions the list holds, each with its active answer."""
+    for d in plist.records.values():
+        yield d._replace(answer=plist.answer(d)) if d.pool else d
 
 
 def record_count(plist: PopularityList) -> int:
@@ -290,44 +341,41 @@ def apply_lb_update(
 
     Each (pool entry index, signed offset) pair moves one group's active
     answer by the offset, modulo the group size, and advances the
-    generation by one.  The result shares the tree of `plist`.
+    generation by one.  The result shares the membership of `plist`.
     """
-    table = dict(plist.records)
-    order = plist.lb_entry_order
+    sizes = plist._members.sizes
+    active = plist.active[:]
     applied = 0
     for entry_index, offset in entries:
-        if not 0 <= entry_index < len(order):
-            raise IndexOutOfRange(f"pool entry {entry_index} of {len(order)}")
-        key = order[entry_index]
-        d = table[key]
-        pool = d.pool
-        answer = pool[(pool.index(d.answer) + offset) % len(pool)]
-        table[key] = d._replace(answer=answer)
+        if not 0 <= entry_index < len(sizes):
+            raise IndexOutOfRange(f"pool entry {entry_index} of {len(sizes)}")
+        active[entry_index] = (active[entry_index] + offset) % sizes[entry_index]
         applied += 1
     if not applied:
         return plist
-    return PopularityList(table, order, plist.generation + applied, plist._tree)
+    return PopularityList(
+        plist.records, plist.lb_entry_order, active, plist.generation + applied, plist._members
+    )
 
 
 def _retain(
-    table: dict[RecordKey, RecordDef], removed: dict[RecordKey, RecordDef]
+    table: dict[RecordKey, RecordDef], removed: dict[RecordKey, RecordDef], referrers: dict
 ) -> None:
     """Put back removed records at names left with no record while a
     surviving CNAME still targets them (and, in turn, what the put-back
-    CNAMEs target)."""
+    CNAMEs target).  `referrers` counts the table's CNAMEs per target,
+    and then the put-back ones too."""
     by_name: dict[DomainName, list[RecordKey]] = {}
     for key in removed:
         if key not in table and not _has_records(table, key.name):
             by_name.setdefault(key.name, []).append(key)
-    if not by_name:
-        return
-    targets = {d.cname_target for d in table.values()}  # None for the rest
-    pending = [name for name in by_name if name in targets]
+    pending = [name for name in by_name if name in referrers]
     while pending:
         for key in by_name.pop(pending.pop(), ()):
-            table[key] = removed[key]
-            if table[key].cname_target in by_name:
-                pending.append(table[key].cname_target)
+            table[key] = d = removed[key]
+            _refer(referrers, (d,), 1)
+            if d.cname_target in by_name:
+                pending.append(d.cname_target)
 
 
 def apply_membership_update(
@@ -341,26 +389,36 @@ def apply_membership_update(
     surviving record is retained until the last referrer goes.  Only the
     records the update touches are checked.
     """
-    table = dict(plist.records)
+    old = plist.records
+    table = dict(old)
     removed: dict[RecordKey, RecordDef] = {}
     for key in removals:
         if key not in table:
             raise UnknownRecord(str(key))
         removed[key] = table.pop(key)
-    added: dict[RecordKey, RecordDef] = {}
+    added: dict[RecordKey, RecordDef] = {}  # as sent, pooled ones with their answer
     for d in additions:
-        table[d.key] = added[d.key] = d
-    _retain(table, removed)
+        added[d.key] = d
+        table[d.key] = d._replace(answer=None) if d.pool else d
+    both = itertools.chain(removed.values(), added.values())
+    cnames = {d.key for d in both if d.cname_target is not None}
+    referrers = _refer(plist._members.referrers.copy(), map(old.get, cnames), -1)
+    _refer(referrers, map(table.get, cnames), 1)
+    _retain(table, removed, referrers)
     _check(table, added.values())
 
-    order = plist.lb_entry_order
-    old = plist.records
+    order, active = plist.lb_entry_order, plist.active
+    moved = {k: d.pool.index(d.answer) for k, d in added.items() if d.pool}
     if any(d.pool and k not in table for k, d in removed.items()) or any(
         bool(d.pool) != (k in old and bool(old[k].pool)) for k, d in added.items()
     ):
-        pooled = {k for k in order if k in table and table[k].pool}
-        order = _entry_order(pooled.union(k for k, d in added.items() if d.pool))
-    return PopularityList(table, order, plist.generation + 1)
+        order = _entry_order({k for k in order if k in table and table[k].pool}.union(moved))
+    if moved or order is not plist.lb_entry_order:  # surviving groups keep their index
+        was = dict(zip(plist.lb_entry_order, active)) | moved
+        active = array("I", map(was.__getitem__, order))
+    same = order is plist.lb_entry_order and not moved
+    members = _Membership(table, order, referrers, plist._members if same else None)
+    return PopularityList(table, order, active, plist.generation + 1, members)
 
 
 def _u24(value: int) -> bytes:
@@ -426,7 +484,7 @@ def _encode_tree(plist: PopularityList) -> tuple[bytes, tuple[bytes, ...]]:
     reference in entry order."""
     nodes = wire_nodes(plist)
     paths = {n.records[0].key.name.labels: n.path for n in nodes if n.records}
-    entry_index = {key: i for i, key in enumerate(plist.lb_entry_order)}
+    entry_index = plist.entry_index
     body = bytearray()
     for labels, records, children, _ in nodes:
         body.append(len(labels))
@@ -461,14 +519,15 @@ def serialize(plist: PopularityList, compress: bool = False) -> bytes:
     """Encode to the list wire format.  Deterministic for equal lists."""
     tree, refs = plist._wire_tree()
     body = bytearray(tree)
-    for ref, key in zip(refs, plist.lb_entry_order):
-        d = plist.records[key]
-        if len(d.pool) > 0xFF:
+    records = plist.records
+    for ref, key, current in zip(refs, plist.lb_entry_order, plist.active):
+        pool = records[key].pool
+        if len(pool) > 0xFF:
             raise FormatError("pool group too large")
         body.extend(ref)
-        body.append(len(d.pool))
-        body.append(d.pool.index(d.answer))
-        for answer in d.pool:
+        body.append(len(pool))
+        body.append(current)
+        for answer in pool:
             body.append(len(answer))
             body.extend(answer)
 
@@ -670,8 +729,11 @@ def _read_list(
     for ckey, path in cname_paths:
         put(RecordDef(ckey, resolve_path(path).wire))
 
-    groups = []
-    for _ in range(group_count):
+    if len(pool_nodes) != group_count:
+        raise FormatError("pool entries and slots do not match one-to-one")
+    order: list[RecordKey] = []
+    active = array("I")
+    for entry in range(group_count):
         node_ref = reader.u24()
         if node_ref >= len(names):
             raise FormatError(f"pool node reference {node_ref} out of range")
@@ -680,6 +742,8 @@ def _read_list(
         if answer_count == 0 or current >= answer_count:
             raise FormatError("bad pool group counters")
         answers = tuple(bytes(reader.short()) for _ in range(answer_count))
+        if list(answers) != sorted(set(answers)):
+            raise FormatError("pool answers not canonical")
         length = {len(a) for a in answers}
         if length == {4}:
             rtype = RecordType.A
@@ -688,24 +752,20 @@ def _read_list(
         else:
             raise FormatError("pool answers must be uniformly 4 or 16 bytes")
         key = RecordKey(DomainName(names[node_ref]), rtype)
-        groups.append((key, answers, current))
-    reader.end()
-
-    keys = [key.sort_key() for key, _, _ in groups]
-    if keys != sorted(keys) or len(set(keys)) != len(keys):
-        raise FormatError("pool groups not in canonical order")
-    if len(pool_nodes) != group_count:
-        raise FormatError("pool entries and slots do not match one-to-one")
-    for entry, (key, answers, current) in enumerate(groups):
-        if list(answers) != sorted(set(answers)):
-            raise FormatError("pool answers not canonical")
+        if order and order[-1] >= key:  # RecordKey orders by sort_key
+            raise FormatError("pool groups not in canonical order")
         if key.name.labels != names[pool_nodes[entry]]:
             raise FormatError("pool group points at a different name")
-        put(RecordDef(key, answers[current], answers))
+        order.append(key)
+        active.append(current)
+        put(RecordDef._make((key, None, answers, None)))  # checked above
+    reader.end()
     for types in multi_slot:
-        codes = [int(groups[~t][0].rtype) if t < 0 else int(t) for t in types]
+        codes = [int(order[~t].rtype) if t < 0 else int(t) for t in types]
         if codes != sorted(set(codes)):
             raise FormatError("slots not in type order")
 
     _check(table, table.values())
-    return PopularityList(table, tuple(key for key, _, _ in groups), generation)
+    order = tuple(order)
+    members = _Membership(table, order, _refer({}, table.values(), 1))
+    return PopularityList(table, order, active, generation, members)

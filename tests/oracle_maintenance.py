@@ -320,7 +320,7 @@ class OracleMaintainer:
             if grown != current.pool:
                 # pool extension keeps the active answer; reindexing is the
                 # client's job when it applies the upsert
-                defs[key] = RecordDef(key, current.answer, grown)
+                defs[key] = RecordDef(key, self.plist.answer(current), grown)
                 changed = True
             selected = self.rng.choice(observed)
             self._queue_rotation(key, defs[key], selected)
@@ -369,7 +369,7 @@ class OracleMaintainer:
         # shifts which valid answer is active, never breaks convergence
         pool = record.pool
         virtual = (
-            pool.index(record.answer) + self._pending_offsets.get(key, 0)
+            pool.index(self.plist.answer(record)) + self._pending_offsets.get(key, 0)
         ) % len(pool)
         delta = (pool.index(selected) - virtual) % len(pool)
         if delta:

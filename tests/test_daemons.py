@@ -65,7 +65,7 @@ from lluad.mixnet import (
     record_digest,
     select_shufflers,
 )
-from lluad.poplist import RecordDef, build_list, serialize
+from lluad.poplist import RecordDef, build_list, iter_records, serialize
 from lluad.server import (
     ERR_AUTH,
     ERR_PROTOCOL,
@@ -392,7 +392,7 @@ def test_a_diverged_client_resyncs_and_converges(world_factory, caplog):
     world = world_factory(n_shufflers=2, n_plain=1, n_shuffle=1)
     client = world.clients["cli0"]
     gone = world.list_keys[1]
-    kept = [d for d in client.plist.records.values() if d.key != gone]
+    kept = [d for d in iter_records(client.plist) if d.key != gone]
     client._install(build_list(kept, client.generation))
     world.table[gone] = UpstreamAnswer(600, ())  # the record leaves the list
     with caplog.at_level(logging.WARNING, logger="lluad.client"):

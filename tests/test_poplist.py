@@ -10,6 +10,7 @@ import copy
 import operator
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -172,8 +173,9 @@ def test_rotated_record_equals_a_checked_one():
     k = key("lb.example")
     plist = apply_lb_update(build_list([RecordDef(k, a[0], a)]), [(0, 2)])
     checked = RecordDef(k, a[2], a)
-    assert plist.records[k] == checked and hash(plist.records[k]) == hash(checked)
-    assert deserialize(serialize(plist)).records[k] == checked
+    (rotated,) = iter_records(plist)
+    assert rotated == checked and hash(rotated) == hash(checked)
+    assert list(iter_records(deserialize(serialize(plist)))) == [checked]
 
 
 def test_a_record_canonicalizes_itself():
@@ -544,6 +546,8 @@ def test_incremental_updates_match_rebuild_of_flat_model(rng):
         rebuilt = build_list(model.values(), generation=plist.generation)
         assert serialize(plist) == serialize(rebuilt)
         assert plist == rebuilt
+        assert deserialize(serialize(plist), plist.generation) == plist
+        assert {d.key: d for d in iter_records(plist)} == model
         for probe in probes:
             expected = flat_resolve(list(model.values()), probe)
             got = lookup(plist, probe)
@@ -595,6 +599,26 @@ def test_rotations_share_the_tree_and_no_value_changes():
     for value, data, records in history:
         assert serialize(value) == data
         assert value.records == records
+
+
+def test_a_rotation_copies_no_record():
+    from lluad.traces import SyntheticUniverse, UniverseConfig
+
+    universe = SyntheticUniverse(UniverseConfig(30_000, seed=601, lb_fraction=0.05))
+    plist = build_list(universe.record_defs(25_000))
+    entries = [(i, 1) for i in range(len(plist.lb_entry_order))]
+    assert len(entries) == 1500
+    tracemalloc.start()
+    try:
+        rotated = apply_lb_update(plist, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rotated.records is plist.records
+    assert peak < 64 * 1024, f"a rotation of every group allocated {peak} bytes"
+    assert all(
+        rotated.answer(d) != plist.answer(d) for d in rotated.records.values() if d.pool
+    )
 
 
 def test_deserialize_rejects_a_record_named_twice():
